@@ -17,8 +17,12 @@
 //! value := "(" ")" | "true" | "false" | NUM
 //!        | "(" value "," value ")" | "{" [value ("," value)*] "}"
 //! ```
+//!
+//! Nesting is bounded by [`MAX_NESTING`]: the parser recurses once per
+//! level, so an unbounded input could overflow the stack of whichever
+//! thread parses it. Deeper input is a [`ParseError`], not an abort.
 
-use crate::expr::Expr;
+use crate::expr::{Expr, ExprRef};
 use crate::types::Type;
 use crate::value::Value;
 use std::fmt;
@@ -40,9 +44,23 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest nesting the parser accepts, counted per recursive
+/// production (`expr`, `value`, `type`, including each `*` of a product
+/// type). One bound serves all three: untrusted input reaches every
+/// one of them through the wire front, and everything downstream of
+/// parsing (interning, type checking, admission, evaluation, rendering)
+/// recurses over the same structure, so the bound keeps the whole
+/// request path within an ordinary 2 MiB thread stack — with room to
+/// spare in optimised builds, and still in unoptimised ones, whose
+/// frames are several times larger. The deepest canned query
+/// (`queries::tc_naive`) nests 28 levels.
+pub const MAX_NESTING: usize = 256;
+
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Productions currently open (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -50,6 +68,31 @@ impl<'a> Parser<'a> {
         Parser {
             input: input.as_bytes(),
             pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Run one recursive production one level deeper, refusing to go
+    /// past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        production: fn(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let result = production(self);
+        self.depth -= 1;
+        result
+    }
+
+    /// Kept out of [`Parser::nested`] so the message formatting does
+    /// not enlarge the frame every nesting level pays for.
+    fn too_deep(&self) -> ParseError {
+        ParseError {
+            position: self.pos,
+            message: format!("nesting deeper than {MAX_NESTING} levels"),
         }
     }
 
@@ -123,6 +166,10 @@ impl<'a> Parser<'a> {
     // -- types ------------------------------------------------------------
 
     fn ty(&mut self) -> Result<Type, ParseError> {
+        self.nested(Self::ty_product)
+    }
+
+    fn ty_product(&mut self) -> Result<Type, ParseError> {
         let first = self.ty_prim()?;
         if self.try_eat(b'*') {
             let rest = self.ty()?;
@@ -134,69 +181,116 @@ impl<'a> Parser<'a> {
 
     fn ty_prim(&mut self) -> Result<Type, ParseError> {
         match self.peek() {
-            Some(b'{') => {
-                self.eat(b'{')?;
-                let inner = self.ty()?;
-                self.eat(b'}')?;
-                Ok(Type::set(inner))
-            }
-            Some(b'(') => {
-                self.eat(b'(')?;
-                let inner = self.ty()?;
-                self.eat(b')')?;
-                Ok(inner)
-            }
-            _ => match self.ident()? {
-                "unit" => Ok(Type::Unit),
-                "bool" => Ok(Type::Bool),
-                "nat" => Ok(Type::Nat),
-                other => self.error(format!("unknown type `{}`", other)),
-            },
+            Some(b'{') => self.bracketed_ty(b'{', b'}').map(Type::set),
+            Some(b'(') => self.bracketed_ty(b'(', b')'),
+            _ => self.base_ty(),
+        }
+    }
+
+    fn bracketed_ty(&mut self, open: u8, close: u8) -> Result<Type, ParseError> {
+        self.eat(open)?;
+        let inner = self.ty()?;
+        self.eat(close)?;
+        Ok(inner)
+    }
+
+    fn base_ty(&mut self) -> Result<Type, ParseError> {
+        match self.ident()? {
+            "unit" => Ok(Type::Unit),
+            "bool" => Ok(Type::Bool),
+            "nat" => Ok(Type::Nat),
+            other => self.error(format!("unknown type `{}`", other)),
         }
     }
 
     // -- values -----------------------------------------------------------
 
     fn value(&mut self) -> Result<Value, ParseError> {
+        self.nested(Self::value_form)
+    }
+
+    // each form parses in its own function: every nesting level pays
+    // for the frame of the function it recurses through, so the
+    // dispatcher stays small
+    fn value_form(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'(') => {
-                self.eat(b'(')?;
-                if self.try_eat(b')') {
-                    return Ok(Value::Unit);
+            Some(b'(') => self.pair_value(),
+            Some(b'{') => self.set_value(),
+            _ => self.atom_value(),
+        }
+    }
+
+    fn pair_value(&mut self) -> Result<Value, ParseError> {
+        self.eat(b'(')?;
+        if self.try_eat(b')') {
+            return Ok(Value::Unit);
+        }
+        let a = self.value()?;
+        self.eat(b',')?;
+        let b = self.value()?;
+        self.eat(b')')?;
+        Ok(Value::pair(a, b))
+    }
+
+    fn set_value(&mut self) -> Result<Value, ParseError> {
+        self.eat(b'{')?;
+        let mut items = Vec::new();
+        if !self.try_eat(b'}') {
+            loop {
+                items.push(self.value()?);
+                if self.try_eat(b'}') {
+                    break;
                 }
-                let a = self.value()?;
                 self.eat(b',')?;
-                let b = self.value()?;
-                self.eat(b')')?;
-                Ok(Value::pair(a, b))
             }
-            Some(b'{') => {
-                self.eat(b'{')?;
-                let mut items = Vec::new();
-                if !self.try_eat(b'}') {
-                    loop {
-                        items.push(self.value()?);
-                        if self.try_eat(b'}') {
-                            break;
-                        }
-                        self.eat(b',')?;
-                    }
-                }
-                Ok(Value::set(items))
-            }
-            Some(c) if c.is_ascii_digit() => Ok(Value::Nat(self.number()?)),
-            _ => match self.ident()? {
-                "true" => Ok(Value::Bool(true)),
-                "false" => Ok(Value::Bool(false)),
-                other => self.error(format!("unknown value `{}`", other)),
-            },
+        }
+        Ok(Value::set(items))
+    }
+
+    fn atom_value(&mut self) -> Result<Value, ParseError> {
+        if self.peek().is_some_and(|c| c.is_ascii_digit()) {
+            return Ok(Value::Nat(self.number()?));
+        }
+        match self.ident()? {
+            "true" => Ok(Value::Bool(true)),
+            "false" => Ok(Value::Bool(false)),
+            other => self.error(format!("unknown value `{}`", other)),
         }
     }
 
     // -- expressions --------------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::expr_form)
+    }
+
+    fn expr_form(&mut self) -> Result<Expr, ParseError> {
         let name = self.ident()?;
+        match name {
+            "tuple" => self.args().map(|[a, b]| Expr::Tuple(a, b)),
+            "map" => self.args().map(|[f]| Expr::Map(f)),
+            "while" => self.args().map(|[f]| Expr::While(f)),
+            "if" => self.args().map(|[c, t, e]| Expr::Cond(c, t, e)),
+            "compose" => self.args().map(|[g, f]| Expr::Compose(g, f)),
+            other => self.expr_leaf(other),
+        }
+    }
+
+    /// `"(" expr ("," expr)* ")"` with exactly `N` arguments — the one
+    /// place an expression recurses into its subexpressions.
+    fn args<const N: usize>(&mut self) -> Result<[ExprRef; N], ParseError> {
+        let mut args = Vec::with_capacity(N);
+        for i in 0..N {
+            self.eat(if i == 0 { b'(' } else { b',' })?;
+            args.push(self.expr().map(Expr::rc)?);
+        }
+        self.eat(b')')?;
+        Ok(args.try_into().expect("exactly N arguments"))
+    }
+
+    /// The heads without subexpressions: the nullary primitives and the
+    /// forms carrying a type, a number or a value.
+    fn expr_leaf(&mut self, name: &str) -> Result<Expr, ParseError> {
         match name {
             "id" => Ok(Expr::Id),
             "bang" => Ok(Expr::Bang),
@@ -211,44 +305,6 @@ impl<'a> Parser<'a> {
             "true" => Ok(Expr::ConstTrue),
             "false" => Ok(Expr::ConstFalse),
             "powerset" => Ok(Expr::Powerset),
-            "tuple" => {
-                self.eat(b'(')?;
-                let a = self.expr()?;
-                self.eat(b',')?;
-                let b = self.expr()?;
-                self.eat(b')')?;
-                Ok(Expr::Tuple(a.rc(), b.rc()))
-            }
-            "map" => {
-                self.eat(b'(')?;
-                let f = self.expr()?;
-                self.eat(b')')?;
-                Ok(Expr::Map(f.rc()))
-            }
-            "while" => {
-                self.eat(b'(')?;
-                let f = self.expr()?;
-                self.eat(b')')?;
-                Ok(Expr::While(f.rc()))
-            }
-            "if" => {
-                self.eat(b'(')?;
-                let c = self.expr()?;
-                self.eat(b',')?;
-                let t = self.expr()?;
-                self.eat(b',')?;
-                let e = self.expr()?;
-                self.eat(b')')?;
-                Ok(Expr::Cond(c.rc(), t.rc(), e.rc()))
-            }
-            "compose" => {
-                self.eat(b'(')?;
-                let g = self.expr()?;
-                self.eat(b',')?;
-                let f = self.expr()?;
-                self.eat(b')')?;
-                Ok(Expr::Compose(g.rc(), f.rc()))
-            }
             "emptyset" => {
                 self.eat(b'[')?;
                 let t = self.ty()?;
@@ -358,6 +414,41 @@ mod tests {
         assert!(err.position > 0);
         assert!(parse_expr("frobnicate").is_err());
         assert!(parse_expr("id id").is_err(), "trailing input rejected");
+    }
+
+    /// `levels` productions deep: `levels - 1` wrappers around a leaf.
+    fn nest(open: &str, leaf: &str, close: &str, levels: usize) -> String {
+        format!(
+            "{}{leaf}{}",
+            open.repeat(levels - 1),
+            close.repeat(levels - 1)
+        )
+    }
+
+    #[test]
+    fn nesting_is_bounded_in_every_production() {
+        assert!(parse_value(&nest("{", "1", "}", MAX_NESTING)).is_ok());
+        assert!(parse_expr(&nest("compose(id,", "id", ")", MAX_NESTING)).is_ok());
+        assert!(parse_type(&nest("{", "nat", "}", MAX_NESTING)).is_ok());
+        for levels in [MAX_NESTING + 1, 100_000] {
+            for err in [
+                parse_value(&nest("{", "1", "}", levels)).unwrap_err(),
+                parse_value(&nest("(0,", "1", ")", levels)).unwrap_err(),
+                parse_expr(&nest("compose(id,", "id", ")", levels)).unwrap_err(),
+                parse_expr(&nest("map(", "id", ")", levels)).unwrap_err(),
+                parse_type(&nest("{", "nat", "}", levels)).unwrap_err(),
+                parse_type(&nest("nat*", "nat", "", levels)).unwrap_err(),
+            ] {
+                assert!(err.message.contains("nesting"), "{err}");
+            }
+        }
+        // the bound counts open productions, not total size: wide input
+        // of any length still parses
+        let wide = format!("{{{}}}", vec!["{1}"; 10_000].join(","));
+        assert!(parse_value(&wide).is_ok());
+        // expressions embed values and types, which share the budget
+        let konst = format!("const({} : nat)", nest("{", "1", "}", MAX_NESTING));
+        assert!(parse_expr(&konst).unwrap_err().message.contains("nesting"));
     }
 
     #[test]

@@ -45,14 +45,60 @@ impl std::error::Error for TypeError {}
 
 /// Compute the codomain of `expr` applied to domain type `dom`.
 pub fn output_type(expr: &Expr, dom: &Type) -> Result<Type, TypeError> {
+    // only the rules with subexpressions live in this frame, which every
+    // nesting level pays for; the primitives and the multi-step rules
+    // are helpers
+    match expr {
+        Expr::Tuple(f, g) => Ok(Type::prod(output_type(f, dom)?, output_type(g, dom)?)),
+        Expr::Map(f) => match dom {
+            Type::Set(s) => Ok(Type::set(output_type(f, s)?)),
+            _ => Err(TypeError::new("map", "a set type {s}", dom)),
+        },
+        Expr::Compose(g, f) => output_type(g, &output_type(f, dom)?),
+        Expr::Cond(c, then, els) => cond_type(c, then, els, dom),
+        Expr::While(f) => while_type(f, dom),
+        _ => primitive_type(expr, dom),
+    }
+}
+
+fn cond_type(c: &Expr, then: &Expr, els: &Expr, dom: &Type) -> Result<Type, TypeError> {
+    let ct = output_type(c, dom)?;
+    if ct != Type::Bool {
+        return Err(TypeError::new("if", "a boolean condition", &ct));
+    }
+    let tt = output_type(then, dom)?;
+    let et = output_type(els, dom)?;
+    if tt != et {
+        return Err(TypeError::new(
+            "if",
+            format!("matching branch types (then: `{}`)", tt),
+            &et,
+        ));
+    }
+    Ok(tt)
+}
+
+fn while_type(f: &Expr, dom: &Type) -> Result<Type, TypeError> {
+    if !matches!(dom, Type::Set(_)) {
+        return Err(TypeError::new("while", "a set type {s}", dom));
+    }
+    let out = output_type(f, dom)?;
+    if out == *dom {
+        Ok(out)
+    } else {
+        Err(TypeError::new(
+            "while",
+            format!("body of type `{}` -> `{}`", dom, dom),
+            &out,
+        ))
+    }
+}
+
+/// The rules without subexpressions.
+fn primitive_type(expr: &Expr, dom: &Type) -> Result<Type, TypeError> {
     match expr {
         Expr::Id => Ok(dom.clone()),
         Expr::Bang => Ok(Type::Unit),
-        Expr::Tuple(f, g) => {
-            let s = output_type(f, dom)?;
-            let t = output_type(g, dom)?;
-            Ok(Type::prod(s, t))
-        }
         Expr::Fst => match dom {
             Type::Prod(s, _) => Ok((**s).clone()),
             _ => Err(TypeError::new("fst", "a product type s * t", dom)),
@@ -60,10 +106,6 @@ pub fn output_type(expr: &Expr, dom: &Type) -> Result<Type, TypeError> {
         Expr::Snd => match dom {
             Type::Prod(_, t) => Ok((**t).clone()),
             _ => Err(TypeError::new("snd", "a product type s * t", dom)),
-        },
-        Expr::Map(f) => match dom {
-            Type::Set(s) => Ok(Type::set(output_type(f, s)?)),
-            _ => Err(TypeError::new("map", "a set type {s}", dom)),
         },
         Expr::Sng => Ok(Type::set(dom.clone())),
         Expr::Flatten => match dom {
@@ -109,26 +151,6 @@ pub fn output_type(expr: &Expr, dom: &Type) -> Result<Type, TypeError> {
                 Err(TypeError::new(expr.head_name(), "the unit domain", dom))
             }
         }
-        Expr::Cond(c, then, els) => {
-            let ct = output_type(c, dom)?;
-            if ct != Type::Bool {
-                return Err(TypeError::new("if", "a boolean condition", &ct));
-            }
-            let tt = output_type(then, dom)?;
-            let et = output_type(els, dom)?;
-            if tt != et {
-                return Err(TypeError::new(
-                    "if",
-                    format!("matching branch types (then: `{}`)", tt),
-                    &et,
-                ));
-            }
-            Ok(tt)
-        }
-        Expr::Compose(g, f) => {
-            let mid = output_type(f, dom)?;
-            output_type(g, &mid)
-        }
         Expr::Powerset => match dom {
             Type::Set(s) => Ok(Type::set(Type::set((**s).clone()))),
             _ => Err(TypeError::new("powerset", "a set type {s}", dom)),
@@ -136,21 +158,6 @@ pub fn output_type(expr: &Expr, dom: &Type) -> Result<Type, TypeError> {
         Expr::PowersetM(_) => match dom {
             Type::Set(s) => Ok(Type::set(Type::set((**s).clone()))),
             _ => Err(TypeError::new("powerset_m", "a set type {s}", dom)),
-        },
-        Expr::While(f) => match dom {
-            Type::Set(_) => {
-                let out = output_type(f, dom)?;
-                if out == *dom {
-                    Ok(out)
-                } else {
-                    Err(TypeError::new(
-                        "while",
-                        format!("body of type `{}` -> `{}`", dom, dom),
-                        &out,
-                    ))
-                }
-            }
-            _ => Err(TypeError::new("while", "a set type {s}", dom)),
         },
         Expr::Const(v, t) => {
             if v.has_type(t) {
@@ -162,6 +169,9 @@ pub fn output_type(expr: &Expr, dom: &Type) -> Result<Type, TypeError> {
                     dom,
                 ))
             }
+        }
+        Expr::Tuple(..) | Expr::Map(_) | Expr::Compose(..) | Expr::Cond(..) | Expr::While(_) => {
+            unreachable!("rules with subexpressions are handled by output_type")
         }
     }
 }

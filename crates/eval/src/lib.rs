@@ -68,19 +68,11 @@
 //! skipped work reported in [`EvalStats::delta_hits`]/`delta_skipped`
 //! and the per-iterate frontier trace in
 //! [`EvalStats::while_frontiers`]. [`EvalConfig::optimised`] combines
-//! both switches — the configuration the benchmarks call "seminaive".
-//!
-//! Finally, [`EvalConfig::compiled`] retires interpretive dispatch from
-//! the hot path: [`compile`] flattens the hash-consed `EId` DAG into a
-//! flat register program (one routine per unique sub-expression, fused
-//! superinstructions for the recognised shapes, a structured loop
-//! header for `while` that preserves the semi-naive `(total, delta)`
-//! threading) and a bytecode VM executes it against the value arena,
-//! hitting the same apply cache with the same key stamping. Results,
-//! `EvalStats` and the fixpoint trajectory are bit-for-bit the
-//! interpreter's; programs are cached per session root and invalidated
-//! on arena generation bumps. [`disassemble`] renders a program as
-//! text and `compile::parse` reads it back.
+//! both switches — the configuration the benchmarks call "seminaive" —
+//! and the memo + semi-naive interpreter it selects
+//! ([`eager::evaluate_vid`], [`EvalSession::eval_vid`]) is the one eager
+//! engine. [`EvalConfig::rewritten`] adds the pre-evaluation rewrite
+//! pass ([`EvalConfig::optimise`]) on top: the serving default.
 //!
 //! Budgets ([`error::EvalConfig`]) turn the theorems' "needs ≥ S space"
 //! into clean errors carrying the exact requirement — for `powerset` the
@@ -90,7 +82,6 @@
 #![deny(missing_docs)]
 
 pub mod batch;
-pub mod compile;
 pub mod eager;
 pub mod error;
 pub mod lazy;
@@ -102,7 +93,6 @@ pub mod trace;
 pub use batch::{
     effective_workers, estimated_batch_cost, eval_batch, eval_batch_assigned, BatchJob,
 };
-pub use compile::{disassemble, Program};
 pub use eager::{eval, evaluate, evaluate_tree, evaluate_vid, Evaluation, VidEvaluation};
 pub use error::{EvalConfig, EvalError};
 pub use lazy::{evaluate_lazy, evaluate_lazy_vid, LazyEvaluation, LazyStats, LazyVidEvaluation};

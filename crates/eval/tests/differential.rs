@@ -13,7 +13,7 @@
 use nra_core::builder::*;
 use nra_core::types::Type;
 use nra_core::{derived, queries, Value};
-use nra_eval::{evaluate, evaluate_lazy, evaluate_traced, evaluate_tree, EvalConfig, EvalSession};
+use nra_eval::{evaluate, evaluate_lazy, evaluate_traced, evaluate_tree, EvalConfig};
 use nra_graph::{graph_to_value, graph_to_vid, tc, DiGraph};
 use nra_testkit::{check, Rng};
 
@@ -330,67 +330,6 @@ fn seminaive_agrees_with_naive_on_all_families() {
                     eager_delta.stats.while_frontiers, delta.stats.while_frontiers,
                     "{family}: eager and traced must thread the same (total, delta) pairs"
                 );
-            }
-        },
-    );
-}
-
-/// The compiled bytecode backend is a dispatch change, not a semantics
-/// change: under every `memo`/`semi_naive` combination, compiled-on
-/// results and the **entire** `EvalStats` — §3 node and rule counters,
-/// complexities, fixpoint trajectory and frontier trace, cache
-/// activity — are bit-for-bit the compiled-off ones, across all seven
-/// graph families, both tc routes, and (under the semi-naive modes,
-/// where the fused superinstructions are emitted) the fused-shape
-/// query zoo.
-#[test]
-fn compiled_agrees_with_interpreted_on_all_families() {
-    // Each side runs in a fresh session: the direct-mapped apply cache
-    // grows as entries accumulate, so two back-to-back runs through the
-    // pooled facade see different table sizes — and hence different
-    // collision patterns and memo_hits — even for the *same* backend.
-    // Fresh tables make the stats deterministic per (query, input, cfg).
-    fn eval_fresh(q: &nra_core::Expr, input: &Value, cfg: &EvalConfig) -> nra_eval::Evaluation {
-        EvalSession::new(cfg.clone()).eval(q, input)
-    }
-    check(
-        "compiled_agrees_with_interpreted_on_all_families",
-        CASES / 2,
-        |_, rng| {
-            for (family, g) in family_graphs(rng) {
-                let input = graph_to_value(&g);
-                let modes = [
-                    ("plain", EvalConfig::default()),
-                    ("memo", EvalConfig::memoised()),
-                    ("semi-naive", EvalConfig::semi_naive()),
-                    ("memo+semi-naive", EvalConfig::optimised()),
-                ];
-                for q in [queries::tc_paths(), queries::tc_while()] {
-                    for (mode, base) in &modes {
-                        let compiled_cfg = EvalConfig {
-                            compiled: true,
-                            ..base.clone()
-                        };
-                        let walked = eval_fresh(&q, &input, base);
-                        let compiled = eval_fresh(&q, &input, &compiled_cfg);
-                        assert_eq!(walked.result, compiled.result, "{family}: {mode} {q}");
-                        assert_eq!(walked.stats, compiled.stats, "{family}: {mode} {q}");
-                    }
-                }
-                // the fused superinstructions only exist under
-                // semi-naive — drive every recognised shape through them
-                for (name, q) in fused_shape_queries() {
-                    for (mode, base) in &modes[2..] {
-                        let compiled_cfg = EvalConfig {
-                            compiled: true,
-                            ..base.clone()
-                        };
-                        let walked = eval_fresh(&q, &input, base);
-                        let compiled = eval_fresh(&q, &input, &compiled_cfg);
-                        assert_eq!(walked.result, compiled.result, "{family}: {mode} {name}");
-                        assert_eq!(walked.stats, compiled.stats, "{family}: {mode} {name}");
-                    }
-                }
             }
         },
     );

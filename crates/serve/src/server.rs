@@ -68,9 +68,9 @@ impl Default for ServeConfig {
             tenant_budget_bytes: u64::MAX,
             resident_budget_bytes: None,
             // the serving front runs the full stack: the rewrite
-            // optimiser in front of the compiled bytecode backend.
-            // Programs are compiled once per *optimised* root within a
-            // generation, bit-for-bit the interpreted results — and a
+            // optimiser in front of the memo + semi-naive interpreter.
+            // The apply cache keys on the *optimised* root, so a warm
+            // re-evaluation hits the rewritten DAG's entries — and a
             // query admission would reject in its submitted form can be
             // rescued by a space-class-improving rewrite (the
             // powerset-route → while-route transitive closure headline)
@@ -561,7 +561,7 @@ mod tests {
     #[test]
     fn optimise_off_front_rejects_what_the_default_front_rescues() {
         let mut server = Server::new(ServeConfig {
-            eval: EvalConfig::compiled(),
+            eval: EvalConfig::optimised(),
             ..ServeConfig::default()
         });
         let responses = server.process_batch(&[Request {
@@ -584,10 +584,9 @@ mod tests {
         // and that judgment must land in the shared apply table so the
         // admitted run starts warm (a local cache is discarded, not
         // migrated, when the first batch split shares the store).
-        // Interpreted memo config: it probes the cache at every node,
-        // so the overlap with the probe's keys is exact rather than
-        // call-grain dependent; optimise stays off so the query runs as
-        // submitted
+        // The memo config probes the cache at every node, so the
+        // overlap with the probe's keys is exact; optimise stays off so
+        // the query runs as submitted
         let mut server = Server::new(ServeConfig {
             eval: EvalConfig::optimised(),
             ..ServeConfig::default()

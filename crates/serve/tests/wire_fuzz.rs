@@ -16,14 +16,18 @@
 //!    spanning frame ends, splitting UTF-8-safe ASCII frames anywhere),
 //!    must reassemble into exactly the original frame sequence on the
 //!    receiving [`LineReceiver`].
+//!
+//! Plus the totality regression for nesting: a frame nested past
+//! [`MAX_NESTING`] gets one `failed` response instead of overflowing the
+//! serving thread's stack, and frames at the bound are served.
 
 use nra_core::generate::{random_expr, GenConfig, Rng as GenRng};
-use nra_core::parser::{parse_expr, parse_value};
+use nra_core::parser::{parse_expr, parse_value, MAX_NESTING};
 use nra_core::types::Type;
 use nra_core::Value;
 use nra_serve::{
-    decode_frame, decode_response, encode_request, encode_response, socketpair, Frame, Outcome,
-    Request, Response,
+    decode_frame, decode_response, encode_request, encode_response, socketpair, spawn, Frame,
+    Outcome, Request, Response, ServeConfig,
 };
 use nra_testkit::{check, Rng};
 
@@ -178,4 +182,76 @@ fn framing_survives_random_chunk_boundaries() {
         }
         assert_eq!(decoded, requests, "seed {seed}");
     });
+}
+
+/// `levels` productions deep: `levels - 1` wrappers around a leaf.
+fn nest(open: &str, leaf: &str, close: &str, levels: usize) -> String {
+    format!(
+        "{}{leaf}{}",
+        open.repeat(levels - 1),
+        close.repeat(levels - 1)
+    )
+}
+
+#[test]
+fn overly_nested_frames_fail_and_the_server_keeps_serving() {
+    let (mut client, handle) = spawn(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let next = |client: &mut nra_serve::Client| {
+        client
+            .recv()
+            .expect("server alive")
+            .expect("response decodes")
+    };
+    let singleton = Value::set([Value::nat(1)]);
+    // past the bound: exactly one `failed` response per frame — the
+    // follow-up frame's answer is the very next response
+    for (id, levels) in [(1u64, 10_000usize), (3, 100_000)] {
+        let frame = format!("t;{id};id;{}", nest("{", "1", "}", levels));
+        client.tx.send_line(&frame).unwrap();
+        let resp = next(&mut client);
+        assert_eq!(resp.id, id);
+        assert!(
+            matches!(&resp.outcome, Outcome::Failed { detail } if detail.contains("nesting")),
+            "{levels} levels: {resp:?}"
+        );
+        client
+            .tx
+            .send_line(&format!("t;{};id;{{1}}", id + 1))
+            .unwrap();
+        let resp = next(&mut client);
+        assert_eq!(resp.id, id + 1);
+        assert!(
+            matches!(&resp.outcome, Outcome::Ok { value, .. } if *value == singleton),
+            "{resp:?}"
+        );
+    }
+    // at the bound: a value frame and an expression frame are both served
+    let deep_value = nest("{", "1", "}", MAX_NESTING);
+    client
+        .tx
+        .send_line(&format!("t;5;id;{deep_value}"))
+        .unwrap();
+    let resp = next(&mut client);
+    assert_eq!(resp.id, 5);
+    match &resp.outcome {
+        Outcome::Ok { value, .. } => assert_eq!(value, &parse_value(&deep_value).unwrap()),
+        other => panic!("value at the bound: {other:?}"),
+    }
+    let deep_expr = nest("compose(id,", "id", ")", MAX_NESTING);
+    client
+        .tx
+        .send_line(&format!("t;6;{deep_expr};{{1}}"))
+        .unwrap();
+    let resp = next(&mut client);
+    assert_eq!(resp.id, 6);
+    assert!(
+        matches!(&resp.outcome, Outcome::Ok { value, .. } if *value == singleton),
+        "expression at the bound: {resp:?}"
+    );
+    client.shutdown().unwrap();
+    let report = handle.join().expect("server thread survives");
+    assert_eq!(report.decode_errors, 2);
 }

@@ -1,9 +1,9 @@
 //! The differential test harness: every route to the transitive closure —
 //! the eager powerset query (`tc_paths`), the `while` query (`tc_while`),
-//! their memoised (apply-cache) and compiled (bytecode VM) evaluations,
-//! the streaming (lazy) evaluator, and the classical `nra-graph`
-//! baselines (Warshall,
-//! semi-naive, per-source BFS) — must agree on randomized graphs from
+//! their memoised (apply-cache), semi-naive and rewritten (the serving
+//! front's configuration) evaluations, the streaming (lazy) evaluator,
+//! and the classical `nra-graph` baselines (Warshall, semi-naive,
+//! per-source BFS) — must agree on randomized graphs from
 //! seven families (chains, cycles, DAGs, disconnected graphs, grids,
 //! cliques, sparse random graphs) with up to ~8 nodes.
 //!
@@ -18,6 +18,7 @@ use powerset_tc::eval::{evaluate, evaluate_lazy, EvalConfig};
 use powerset_tc::graph::{
     bfs_per_source, graph_to_value, semi_naive, value_to_graph, warshall, DiGraph,
 };
+use powerset_tc::opt::optimising_session;
 
 /// Node-count ceiling for the randomized graphs: the powerset route
 /// enumerates all `2^|nodes|` subsets, so n≈8 keeps a single case around
@@ -65,21 +66,27 @@ fn assert_all_routes_agree(g: &DiGraph, label: &str) {
     assert_eq!(lazy_paths, expect, "lazy tc_paths vs baselines on {label}");
 
     // …the memoised (apply-cache), semi-naive (delta-driven),
-    // fully-optimised, and compiled (bytecode VM) evaluations of both
-    // routes, which must all be bit-for-bit the default results…
+    // fully-optimised, and rewritten evaluations of both routes, which
+    // must all be bit-for-bit the default results. The rewritten mode is
+    // the serving front's exact configuration, so it runs in a session
+    // with the optimiser's rewrite pass installed, as the front does…
     for (mode, cfg) in [
         ("memoised", EvalConfig::memoised()),
         ("semi-naive", EvalConfig::semi_naive()),
         ("optimised", EvalConfig::optimised()),
-        ("compiled", EvalConfig::compiled()),
+        ("rewritten", EvalConfig::rewritten()),
     ] {
         for (route, q) in [
             ("tc_paths", queries::tc_paths()),
             ("tc_while", queries::tc_while()),
         ] {
-            let got = evaluate(&q, &input, &cfg)
-                .result
-                .unwrap_or_else(|e| panic!("{mode} {route} failed on {label}: {e}"));
+            let got = if cfg.optimise {
+                optimising_session(cfg.clone()).eval(&q, &input)
+            } else {
+                evaluate(&q, &input, &cfg)
+            }
+            .result
+            .unwrap_or_else(|e| panic!("{mode} {route} failed on {label}: {e}"));
             assert_eq!(got, expect, "{mode} {route} vs baselines on {label}");
         }
     }
