@@ -136,7 +136,7 @@ impl EvalConfig {
 
     /// [`EvalConfig::optimised`] with the pre-evaluation **rewrite pass**
     /// switched on ([`EvalConfig::optimise`]) — the full stack the
-    /// serving front runs: rule rewriting, apply cache, semi-naive
+    /// serving front runs: the rescue rewrite, apply cache, semi-naive
     /// iteration. The pass only runs once a
     /// [`RewritePass`](crate::RewritePass) has been installed on the
     /// session (`nra_opt::install` does both).

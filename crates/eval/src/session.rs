@@ -214,7 +214,7 @@ impl EvalSession {
     /// The root actually evaluated for `eid`: the rewrite pass's output
     /// when [`EvalConfig::optimise`] is on and a pass is installed, `eid`
     /// itself otherwise. Memoised per root within a generation, so the
-    /// rules run once per distinct query — warm re-evaluations pay one
+    /// pass runs once per distinct query — warm re-evaluations pay one
     /// hash lookup. The returned handle is what the apply cache is keyed
     /// on.
     pub fn optimise_eid(&mut self, eid: EId) -> EId {

@@ -1,5 +1,4 @@
-//! The cost gate: a rewrite is taken only when it provably does not
-//! worsen the expression's *space class*.
+//! The space-class order every rescue must descend.
 //!
 //! The model is [`nra_symbolic::classify_space`] — the paper's Lemma 5.8
 //! dichotomy — folded onto a total order of ranks:
@@ -10,21 +9,13 @@
 //!
 //! with `Polynomial` ordered by degree and `BoundedPowerset` by order.
 //! `Unanalyzed` ranks *worst*: an expression the analyser cannot place
-//! must not be the destination of a rewrite away from one it can. The
-//! gate [`Gate::allows`] accepts a rewrite iff `rank(after) ≤
-//! rank(before)`; strict improvement is not required, so
-//! class-preserving simplifications (identity elimination, fusion) still
-//! fire, while a rescue (`Exponential → Polynomial`) is a strict drop.
-//!
-//! Classification walks the *resolved* expression and can be costly, so
-//! the gate memoises per [`EId`] — sound within one optimiser invocation
-//! because hash-consing makes `EId → Expr` injective per arena
-//! generation, and the rewriter consults the gate only when a rule has
-//! already matched.
+//! must not be the destination of a rewrite away from one it can. Both
+//! sides of every rescue are constants, so the check that a rescue
+//! strictly lowers the rank is a test over the table
+//! (`rewrite::tests::every_rescue_strictly_lowers_the_space_class`),
+//! not a gate consulted at serve time.
 
-use nra_core::{EId, ExprArena};
-use nra_symbolic::{classify_space, SpaceClass};
-use std::collections::HashMap;
+use nra_symbolic::SpaceClass;
 
 /// A space class collapsed to an orderable rank (smaller is better).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -40,75 +31,28 @@ pub fn rank(class: &SpaceClass) -> Rank {
     }
 }
 
-/// A memoising cost gate, scoped to one optimiser invocation.
-#[derive(Debug, Default)]
-pub struct Gate {
-    ranks: HashMap<EId, Rank>,
-}
-
-impl Gate {
-    /// A fresh gate with an empty memo.
-    pub fn new() -> Gate {
-        Gate::default()
-    }
-
-    /// The (memoised) rank of an interned expression.
-    pub fn rank_of(&mut self, ea: &ExprArena, eid: EId) -> Rank {
-        if let Some(r) = self.ranks.get(&eid) {
-            return *r;
-        }
-        let r = rank(&classify_space(&ea.resolve(eid)));
-        self.ranks.insert(eid, r);
-        r
-    }
-
-    /// Whether rewriting `before` into `after` is admissible: the space
-    /// class must not worsen.
-    pub fn allows(&mut self, ea: &ExprArena, before: EId, after: EId) -> bool {
-        if before == after {
-            return false;
-        }
-        self.rank_of(ea, after) <= self.rank_of(ea, before)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nra_core::queries;
+    use nra_symbolic::classify_space;
 
     #[test]
     fn ranks_follow_the_dichotomy() {
-        assert!(
-            rank(&classify_space(&queries::tc_while()))
-                < rank(&classify_space(&queries::tc_paths()))
-        );
-        assert!(
-            rank(&classify_space(&queries::siblings_direct()))
-                < rank(&classify_space(&queries::siblings_powerset()))
-        );
-    }
-
-    #[test]
-    fn gate_admits_rescues_and_refuses_regressions() {
-        let mut ea = ExprArena::new();
-        let exp = ea.intern(&queries::tc_paths());
-        let poly = ea.intern(&queries::tc_while());
-        let mut gate = Gate::new();
-        assert!(gate.allows(&ea, exp, poly), "rescue must pass the gate");
-        assert!(!gate.allows(&ea, poly, exp), "regression must be refused");
-        assert!(!gate.allows(&ea, poly, poly), "no-op is not a rewrite");
-    }
-
-    #[test]
-    fn equal_rank_rewrites_pass() {
-        let mut ea = ExprArena::new();
-        let a = ea.intern(&nra_core::builder::compose(
-            nra_core::builder::id(),
-            queries::tc_while(),
-        ));
-        let b = ea.intern(&queries::tc_while());
-        let mut gate = Gate::new();
-        assert!(gate.allows(&ea, a, b));
+        let exponential = classify_space(&queries::tc_paths());
+        assert!(matches!(exponential, SpaceClass::Exponential { .. }));
+        let ladder = [
+            SpaceClass::Polynomial { degree: 1 },
+            SpaceClass::Polynomial { degree: 2 },
+            SpaceClass::BoundedPowerset { order: 2 },
+            SpaceClass::BoundedPowerset { order: 3 },
+            exponential,
+            SpaceClass::Unanalyzed {
+                reason: "opaque".into(),
+            },
+        ];
+        for pair in ladder.windows(2) {
+            assert!(rank(&pair[0]) < rank(&pair[1]), "{pair:?}");
+        }
     }
 }

@@ -32,6 +32,7 @@ use crate::wire::{
     WireError,
 };
 use nra_core::expr::intern::EId;
+use nra_core::parser::MAX_NESTING;
 use nra_core::typecheck::output_type;
 use nra_core::value::intern::VId;
 use nra_core::{Expr, Value};
@@ -267,9 +268,9 @@ impl Server {
         }
 
         // 3. optimise, then cost-based admission on the *optimised*
-        // form — a rewrite that provably improves the space class (the
-        // cost gate guarantees it never worsens) can move a query from
-        // the rejected into the admitted set
+        // form — a rescue strictly lowers the space class (a test over
+        // the rescue table checks it), so it can move a query from the
+        // rejected into the admitted set
         let raw = self.session.intern_expr(&request.query);
         let input = self.session.intern_value(&request.input);
         let query = if self.config.eval.optimise {
@@ -339,7 +340,24 @@ impl Server {
             .map(|(job, ev)| {
                 let tenant = self.report.tenants.entry(job.tenant.clone()).or_default();
                 tenant.warm_hits += ev.stats.warm_hits;
-                let outcome = match ev.result {
+                // a value of depth d takes up to d + 1 parser productions
+                // (the innermost atom is one), so a deeper result would
+                // be an `ok` frame no client can decode
+                let values = self.session.values();
+                let result = ev.result.map_err(|e| e.to_string()).and_then(|out| {
+                    let depth = values.depth(out) as usize;
+                    if depth < MAX_NESTING {
+                        Ok(out)
+                    } else {
+                        Err(format!(
+                            "result nests {depth} levels; a response value may nest \
+                             at most {} (the parser's MAX_NESTING of {MAX_NESTING} \
+                             productions)",
+                            MAX_NESTING - 1
+                        ))
+                    }
+                });
+                let outcome = match result {
                     Ok(out) => {
                         let bytes = self.session.values().size(out).saturating_mul(8);
                         tenant.bytes_charged = tenant.bytes_charged.saturating_add(bytes);
@@ -351,12 +369,10 @@ impl Server {
                             value: self.session.resolve(out),
                         }
                     }
-                    Err(e) => {
+                    Err(detail) => {
                         tenant.errors += 1;
                         self.report.errors += 1;
-                        Outcome::Failed {
-                            detail: e.to_string(),
-                        }
+                        Outcome::Failed { detail }
                     }
                 };
                 Response {
@@ -560,21 +576,35 @@ mod tests {
 
     #[test]
     fn optimise_off_front_rejects_what_the_default_front_rescues() {
-        let mut server = Server::new(ServeConfig {
-            eval: EvalConfig::optimised(),
-            ..ServeConfig::default()
-        });
-        let responses = server.process_batch(&[Request {
-            tenant: "acme".into(),
-            id: 1,
-            query: queries::tc_paths(),
-            input: Value::chain(20),
-        }]);
-        assert!(
-            matches!(&responses[0].outcome, Outcome::Rejected { reason } if reason.contains("Theorem 4.1")),
-            "{responses:?}"
-        );
-        assert_eq!(server.report().rescued, 0);
+        // on r₂₀ every rescue-table query is certified exponential as
+        // submitted, and admitted once rewritten
+        for rescue in nra_opt::RESCUES {
+            let request = Request {
+                tenant: "acme".into(),
+                id: 1,
+                query: (rescue.lhs)(),
+                input: Value::chain(20),
+            };
+            let mut off = Server::new(ServeConfig {
+                eval: EvalConfig::optimised(),
+                ..ServeConfig::default()
+            });
+            let responses = off.process_batch(std::slice::from_ref(&request));
+            assert!(
+                matches!(&responses[0].outcome, Outcome::Rejected { reason } if reason.contains("Theorem 4.1")),
+                "{}: {responses:?}",
+                rescue.name
+            );
+            assert_eq!(off.report().rescued, 0);
+            let mut on = Server::new(ServeConfig::default());
+            let responses = on.process_batch(&[request]);
+            assert!(
+                matches!(&responses[0].outcome, Outcome::Ok { .. }),
+                "{}: {responses:?}",
+                rescue.name
+            );
+            assert_eq!(on.report().rescued, 1, "{}", rescue.name);
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!
 //! Plus the totality regression for nesting: a frame nested past
 //! [`MAX_NESTING`] gets one `failed` response instead of overflowing the
-//! serving thread's stack, and frames at the bound are served.
+//! serving thread's stack, frames at the bound are served, and a result
+//! too deep for a client's parser is answered `failed`, not `ok`.
 
 use nra_core::generate::{random_expr, GenConfig, Rng as GenRng};
 use nra_core::parser::{parse_expr, parse_value, MAX_NESTING};
@@ -240,13 +241,26 @@ fn overly_nested_frames_fail_and_the_server_keeps_serving() {
         Outcome::Ok { value, .. } => assert_eq!(value, &parse_value(&deep_value).unwrap()),
         other => panic!("value at the bound: {other:?}"),
     }
-    let deep_expr = nest("compose(id,", "id", ")", MAX_NESTING);
+    // one level past the bound on the way out: `sng` wraps the
+    // at-bound value, and the result would be an `ok` frame no client
+    // can decode — it is answered `failed` instead, naming the bound
     client
         .tx
-        .send_line(&format!("t;6;{deep_expr};{{1}}"))
+        .send_line(&format!("t;6;sng;{deep_value}"))
         .unwrap();
     let resp = next(&mut client);
     assert_eq!(resp.id, 6);
+    assert!(
+        matches!(&resp.outcome, Outcome::Failed { detail } if detail.contains("MAX_NESTING")),
+        "result past the bound: {resp:?}"
+    );
+    let deep_expr = nest("compose(id,", "id", ")", MAX_NESTING);
+    client
+        .tx
+        .send_line(&format!("t;7;{deep_expr};{{1}}"))
+        .unwrap();
+    let resp = next(&mut client);
+    assert_eq!(resp.id, 7);
     assert!(
         matches!(&resp.outcome, Outcome::Ok { value, .. } if *value == singleton),
         "expression at the bound: {resp:?}"

@@ -2,10 +2,11 @@
 //!
 //! The powerset-route transitive closure `tc_paths` is certified
 //! exponential (Theorem 4.1), so the serving door rejects it on any
-//! non-trivial input. `nra-opt` recognises the idiom structurally and
-//! rewrites it to the while route (`tc_while`, polynomial) *before*
-//! admission — the same query is **rescued**: admitted, evaluated in
-//! polynomial space, answered correctly.
+//! non-trivial input. `nra-opt` recognises the idiom by its hash-consed
+//! handle and rewrites it to the while route (`tc_while`, polynomial)
+//! *before* admission — the same query is **rescued**: admitted,
+//! evaluated in polynomial space, answered correctly. The rescue table
+//! holds one more entry, the powerset route to `siblings`.
 //!
 //! Run with `cargo run --release --example optimise_demo`.
 
@@ -16,14 +17,17 @@ use powerset_tc::serve::{spawn, Outcome, ServeConfig};
 use powerset_tc::symbolic::classify_space;
 
 fn main() {
-    // ── the rewrite itself ──────────────────────────────────────────
-    let raw = queries::tc_paths();
-    let optimised = opt::optimise_expr(&raw);
-    println!("raw query:       {raw}");
-    println!("  space class:   {:?}", classify_space(&raw));
-    println!("optimised query: {optimised}");
-    println!("  space class:   {:?}", classify_space(&optimised));
-    assert_eq!(optimised, queries::tc_while());
+    // ── the rewrites themselves, one per rescue-table entry ─────────
+    for rescue in opt::RESCUES {
+        let raw = (rescue.lhs)();
+        let optimised = opt::optimise_expr(&raw);
+        println!("{}:", rescue.name);
+        println!("  raw query:       {raw}");
+        println!("    space class:   {:?}", classify_space(&raw));
+        println!("  optimised query: {optimised}");
+        println!("    space class:   {:?}", classify_space(&optimised));
+        assert_eq!(optimised, (rescue.rhs)());
+    }
 
     // ── without the optimiser: rejected at the door ─────────────────
     let strict = ServeConfig {
