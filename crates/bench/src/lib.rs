@@ -517,8 +517,9 @@ pub fn compare_eval(
 /// `BENCH_eval.json` — the chain and DAG families of the differential
 /// suite through the `while` route, the powerset route on a small chain,
 /// the grid/clique/random-sparse families added with the apply cache,
-/// and two deep-dispatch workloads (chain n=16, a depth-24 compose
-/// spine). Shared by
+/// two deep-dispatch workloads (chain n=16, a depth-24 compose spine),
+/// and the equi-join workloads on the serving road grid (`compose_rel`
+/// at n=256, `tc_while` at n=32). Shared by
 /// `benches/interning.rs` and the `report` binary so the two entry
 /// points can never drift apart.
 pub fn standard_eval_comparisons(samples: usize) -> Vec<EvalComparison> {
@@ -600,6 +601,22 @@ pub fn standard_eval_comparisons(samples: usize) -> Vec<EvalComparison> {
         &Value::chain(8),
         samples,
     ));
+    // the product-then-filter joins of the serving road grid: one
+    // composition round at n=256 (a ~200k-pair r × r in exact mode) and
+    // the closure at n=32 — the semi-naive columns run the keyed join
+    let mut rng = nra_testkit::Rng::new(0x50AD);
+    for (n, label, query) in [
+        (
+            256u64,
+            "road_grid/compose_rel",
+            nra_core::queries::compose_rel(),
+        ),
+        (32, "road_grid/tc_while", tc_while),
+    ] {
+        let g = nra_testkit::graphs::road_grid(&mut rng, n);
+        let input = nra_graph::graph_to_value(&nra_graph::DiGraph::from_edges(g.edges));
+        comparisons.push(compare_eval(label, n, &query, &input, samples));
+    }
     comparisons
 }
 

@@ -36,13 +36,15 @@
 //!   the `DeltaEntry` cache, and the hash-consed Prop 2.1 shapes —
 //!   cartesian product (`eval_cartprod_fused`), selection
 //!   (`eval_select_fused`), projection equality and tupling
-//!   (`eval_projeq_fused`, `eval_projpair_fused`) — run fused delta
-//!   rules. The §3 counters only ever shrink (every skipped object
+//!   (`eval_projeq_fused`, `eval_projpair_fused`), and the equi-join
+//!   `σ_p ∘ ×` whose predicate compares a key of each side
+//!   (`eval_join_fused`: matching pairs only, never `r × r`) — run fused
+//!   delta rules. The §3 counters only ever shrink (every skipped object
 //!   already occurred, and was observed, earlier in the evaluation);
 //!   the default mode remains the exact §3 measure.
 
 use crate::error::{EvalConfig, EvalError};
-use crate::shapes::ShapeCaches;
+use crate::shapes::{self, ProjPath, ShapeCaches};
 use crate::stats::EvalStats;
 use nra_core::expr::intern::{self as expr_intern, EId, ENode, ExprArena};
 use nra_core::expr::Expr;
@@ -412,16 +414,22 @@ fn memo_slot(key: u64, mask: u64) -> usize {
 }
 
 /// Fixed size of the shared apply table, as a power of two (2¹⁶ slots ≈
-/// 1.5 MiB). Unlike the local table it never grows: growth would move
-/// slots under concurrent readers, and the table is lossy by design —
-/// a displaced judgment is simply re-derived.
+/// 1.5 MiB). Unlike the local table it never grows as a whole: growth
+/// would move slots between stripes under concurrent readers, and the
+/// table is lossy by design — a displaced judgment is simply re-derived.
 const SHARED_MEMO_BITS: u32 = 16;
 /// Lock stripes of the shared apply table. 2¹⁶ slots / 128 stripes =
 /// 512 consecutive slots per stripe — consecutive probes of a `map`
 /// loop stay on one stripe, so striping costs no locality.
 const SHARED_MEMO_STRIPES: usize = 128;
-/// Slots per stripe.
+/// Slots per stripe once it is fully grown.
 const SHARED_MEMO_STRIPE_SLOTS: usize = (1usize << SHARED_MEMO_BITS) / SHARED_MEMO_STRIPES;
+/// Slots per stripe of a fresh table. A fresh shared store then costs
+/// 128 × 16 slots (48 KiB) instead of 1.5 MiB of freshly faulted
+/// pages, which dominated small batches; each stripe quadruples under
+/// its own lock while its load would exceed ~¼, up to
+/// [`SHARED_MEMO_STRIPE_SLOTS`].
+const SHARED_STRIPE_INITIAL_SLOTS: usize = 16;
 
 /// One shared apply-table slot: packed key, the query stamp that wrote
 /// it, the result, and the recorded as-if-uncached cost. No epoch — a
@@ -430,6 +438,67 @@ const SHARED_MEMO_STRIPE_SLOTS: usize = (1usize << SHARED_MEMO_BITS) / SHARED_ME
 /// its handles point into.
 type SharedSlot = (u64, u32, VId, u64);
 
+/// One lock stripe of a [`SharedMemoTable`]: a direct-mapped slot
+/// array that grows in place (its lock is held by every probe and
+/// store, so growth never races a reader) and its live-slot count.
+struct SharedStripe {
+    slots: Vec<SharedSlot>,
+    stored: usize,
+}
+
+impl SharedStripe {
+    fn blank_slots(len: usize) -> Vec<SharedSlot> {
+        vec![(MEMO_EMPTY_KEY, 0, VId::from_index(0), 0); len]
+    }
+
+    fn new() -> Self {
+        SharedStripe {
+            slots: Self::blank_slots(SHARED_STRIPE_INITIAL_SLOTS),
+            stored: 0,
+        }
+    }
+
+    /// The index of `within` (a slot offset in the fully grown stripe)
+    /// at the stripe's current length.
+    #[inline]
+    fn index(&self, within: usize) -> usize {
+        within & (self.slots.len() - 1)
+    }
+
+    fn probe(&self, key: u64, within: usize) -> Option<(u32, VId, u64)> {
+        let (k, q, v, cost) = self.slots[self.index(within)];
+        (k == key).then_some((q, v, cost))
+    }
+
+    fn store(&mut self, slot: SharedSlot, within: usize) {
+        if self.stored * 4 >= self.slots.len() && self.slots.len() < SHARED_MEMO_STRIPE_SLOTS {
+            self.grow();
+        }
+        let i = self.index(within);
+        if self.slots[i].0 == MEMO_EMPTY_KEY {
+            self.stored += 1;
+        }
+        self.slots[i] = slot;
+    }
+
+    /// Quadruple the stripe, re-inserting its live entries.
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 4).min(SHARED_MEMO_STRIPE_SLOTS);
+        let old = std::mem::replace(&mut self.slots, Self::blank_slots(len));
+        self.stored = 0;
+        let mask = (1u64 << SHARED_MEMO_BITS) - 1;
+        for slot in old {
+            if slot.0 != MEMO_EMPTY_KEY {
+                let i = self.index(memo_slot(slot.0, mask) % SHARED_MEMO_STRIPE_SLOTS);
+                if self.slots[i].0 == MEMO_EMPTY_KEY {
+                    self.stored += 1;
+                }
+                self.slots[i] = slot;
+            }
+        }
+    }
+}
+
 /// The **shared** apply table all worker sessions of a batch probe and
 /// write together: one worker's derivation becomes every worker's warm
 /// hit. Lock-striped; a probe or store locks exactly one stripe.
@@ -437,19 +506,14 @@ type SharedSlot = (u64, u32, VId, u64);
 /// `begin_query` anywhere gets a distinct stamp and cross-query *and*
 /// cross-worker hits both classify as warm.
 pub(crate) struct SharedMemoTable {
-    stripes: Box<[Mutex<Box<[SharedSlot]>>]>,
+    stripes: Box<[Mutex<SharedStripe>]>,
     next_query: AtomicU32,
 }
 
 impl SharedMemoTable {
     fn new() -> Self {
         let stripes = (0..SHARED_MEMO_STRIPES)
-            .map(|_| {
-                Mutex::new(
-                    vec![(MEMO_EMPTY_KEY, 0, VId::from_index(0), 0); SHARED_MEMO_STRIPE_SLOTS]
-                        .into_boxed_slice(),
-                )
-            })
+            .map(|_| Mutex::new(SharedStripe::new()))
             .collect();
         SharedMemoTable {
             stripes,
@@ -464,9 +528,11 @@ impl SharedMemoTable {
         self.next_query.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// The stripe holding `slot`, and the slot's index within it.
+    /// The stripe holding `key`, and the key's slot offset within the
+    /// fully grown stripe.
     #[inline]
-    fn stripe(&self, slot: usize) -> (&Mutex<Box<[SharedSlot]>>, usize) {
+    fn stripe(&self, key: u64) -> (&Mutex<SharedStripe>, usize) {
+        let slot = memo_slot(key, (1u64 << SHARED_MEMO_BITS) - 1);
         (
             &self.stripes[slot / SHARED_MEMO_STRIPE_SLOTS],
             slot % SHARED_MEMO_STRIPE_SLOTS,
@@ -630,11 +696,10 @@ impl MemoCache {
         match self {
             MemoCache::Local(m) => m.probe(key),
             MemoCache::Shared(m) => {
-                let slot = memo_slot(key, (1u64 << SHARED_MEMO_BITS) - 1);
-                let (stripe, within) = m.table.stripe(slot);
+                let (stripe, within) = m.table.stripe(key);
                 let guard = stripe.lock().unwrap_or_else(PoisonError::into_inner);
-                let (k, q, v, cost) = guard[within];
-                (k == key).then_some((v, cost, q != m.query))
+                let (q, v, cost) = guard.probe(key, within)?;
+                Some((v, cost, q != m.query))
             }
         }
     }
@@ -643,10 +708,9 @@ impl MemoCache {
         match self {
             MemoCache::Local(m) => m.store(key, out, cost),
             MemoCache::Shared(m) => {
-                let slot = memo_slot(key, (1u64 << SHARED_MEMO_BITS) - 1);
-                let (stripe, within) = m.table.stripe(slot);
+                let (stripe, within) = m.table.stripe(key);
                 let mut guard = stripe.lock().unwrap_or_else(PoisonError::into_inner);
-                guard[within] = (key, m.query, out, cost);
+                guard.store((key, m.query, out, cost), within);
             }
         }
     }
@@ -707,8 +771,8 @@ impl MemoCache {
     }
 
     /// Approximate resident bytes of the slot table (the session
-    /// layer's occupancy accounting). A shared table is counted in full
-    /// by every view holding it.
+    /// layer's occupancy accounting). A shared table is counted at its
+    /// fully grown size, by every view holding it.
     fn approx_resident_bytes(&self) -> usize {
         match self {
             MemoCache::Local(m) => m.slots.len() * std::mem::size_of::<MemoSlot>(),
@@ -783,89 +847,6 @@ pub(crate) struct Caches {
     /// (the re-assembly step of every Prop 2.1 join), keyed at the
     /// `Tuple` node. See [`eval_projpair_fused`].
     projpairs: HashMap<EId, Option<(ProjPath, ProjPath)>, FxBuildHasher>,
-}
-
-/// A chain of pair projections, innermost step first: `false` = `π₁`
-/// (`fst`), `true` = `π₂` (`snd`). `compose(snd, fst)` is `[false,
-/// true]` — apply `fst`, then `snd`.
-type ProjPath = Vec<bool>;
-
-/// Walk a candidate projection chain (`fst`/`snd`/`id` leaves glued by
-/// `compose`) into its [`ProjPath`], or `None` if any other head
-/// occurs.
-fn proj_path(eid: EId, nodes: &[ENode], out: &mut ProjPath) -> Option<()> {
-    match &nodes[eid.index()] {
-        ENode::Leaf(leaf) => match **leaf {
-            Expr::Fst => {
-                out.push(false);
-                Some(())
-            }
-            Expr::Snd => {
-                out.push(true);
-                Some(())
-            }
-            Expr::Id => Some(()),
-            _ => None,
-        },
-        // g ∘ f applies f first
-        ENode::Compose(g, f) => {
-            proj_path(*f, nodes, out)?;
-            proj_path(*g, nodes, out)
-        }
-        _ => None,
-    }
-}
-
-/// Apply a [`ProjPath`] to a value by direct arena reads. `None` when a
-/// non-pair shows up mid-chain (the caller falls back to the ordinary
-/// derivation, which reports the proper stuck state).
-fn apply_proj(a: &intern::ValueArena, mut v: VId, path: &[bool]) -> Option<VId> {
-    for &snd in path {
-        let (x, y) = a.as_pair(v)?;
-        v = if snd { y } else { x };
-    }
-    Some(v)
-}
-
-/// Recognise the Prop 2.1 selection shape at `eid` (already known to be
-/// a `Compose` whose left child is the `μ` leaf) and return its
-/// predicate, caching the verdict.
-fn select_pred(eid: EId, node: &ENode, nodes: &[ENode], caches: &mut Caches) -> Option<EId> {
-    if let Some(&cached) = caches.selects.get(&eid) {
-        return cached;
-    }
-    let pred = (|| {
-        let ENode::Compose(_, f) = *node else {
-            return None;
-        };
-        let ENode::Map(b) = nodes[f.index()] else {
-            return None;
-        };
-        let ENode::Cond(p, t, e) = nodes[b.index()] else {
-            return None;
-        };
-        let ENode::Leaf(ref tl) = nodes[t.index()] else {
-            return None;
-        };
-        if **tl != Expr::Sng {
-            return None;
-        }
-        let ENode::Compose(es, bg) = nodes[e.index()] else {
-            return None;
-        };
-        let ENode::Leaf(ref el) = nodes[es.index()] else {
-            return None;
-        };
-        if !matches!(**el, Expr::EmptySet(_)) {
-            return None;
-        }
-        let ENode::Leaf(ref bl) = nodes[bg.index()] else {
-            return None;
-        };
-        (**bl == Expr::Bang).then_some(p)
-    })();
-    caches.selects.insert(eid, pred);
-    pred
 }
 
 /// Probe the delta cache for an incremental application: `Some((prev
@@ -1108,28 +1089,43 @@ pub(crate) fn eval_eid(
             eval_cartprod_fused(eid, input, ctx, caches, va)?
         } else if eid == caches.unnest {
             eval_unnest_fused(eid, input, ctx, caches, va)?
-        } else if let ENode::Compose(g, _) = nodes[eid.index()] {
-            // one-read pre-filters before the (cached) full shape
-            // recognitions: σ_p starts `μ ∘ …`, projection equality
-            // starts `=_N ∘ …`, inclusion starts `empty ∘ …`,
-            // membership starts `(¬ ∘ empty) ∘ …`, nest starts
-            // `map(⟨π₁, …⟩) ∘ …`
-            match &nodes[g.index()] {
-                ENode::Leaf(l) if **l == Expr::Flatten => {
-                    match select_pred(eid, &nodes[eid.index()], nodes, caches) {
-                        Some(pred) => eval_select_fused(eid, pred, input, ctx, nodes, caches, va)?,
-                        None => None,
+        } else if let ENode::Compose(g, f) = nodes[eid.index()] {
+            // one or two node reads decide whether the right child is
+            // the product: `σ_p ∘ ×` / `σ_p ∘ × ∘ ⟨id, id⟩` may be a
+            // keyed equi-join
+            if f == caches.cartprod
+                || matches!(nodes[f.index()], ENode::Compose(c, _) if c == caches.cartprod)
+            {
+                eval_join_fused(eid, input, ctx, nodes, caches, va)?
+            } else {
+                // one-read pre-filters before the (cached) full shape
+                // recognitions: σ_p starts `μ ∘ …`, projection equality
+                // starts `=_N ∘ …`, inclusion starts `empty ∘ …`,
+                // membership starts `(¬ ∘ empty) ∘ …`, nest starts
+                // `map(⟨π₁, …⟩) ∘ …`
+                match &nodes[g.index()] {
+                    ENode::Leaf(l) if **l == Expr::Flatten => {
+                        let pred = *caches
+                            .selects
+                            .entry(eid)
+                            .or_insert_with(|| shapes::select_shape(nodes, eid));
+                        match pred {
+                            Some(pred) => {
+                                eval_select_fused(eid, pred, input, ctx, nodes, caches, va)?
+                            }
+                            None => None,
+                        }
                     }
+                    ENode::Leaf(l) if **l == Expr::EqNat => {
+                        eval_projeq_fused(eid, input, ctx, nodes, caches, va)?
+                    }
+                    ENode::Leaf(l) if **l == Expr::IsEmpty => {
+                        eval_subset_fused(eid, input, ctx, nodes, caches, va)?
+                    }
+                    ENode::Compose(..) => eval_member_fused(eid, input, ctx, nodes, caches, va)?,
+                    ENode::Map(_) => eval_nest_fused(eid, input, ctx, nodes, caches, va)?,
+                    _ => None,
                 }
-                ENode::Leaf(l) if **l == Expr::EqNat => {
-                    eval_projeq_fused(eid, input, ctx, nodes, caches, va)?
-                }
-                ENode::Leaf(l) if **l == Expr::IsEmpty => {
-                    eval_subset_fused(eid, input, ctx, nodes, caches, va)?
-                }
-                ENode::Compose(..) => eval_member_fused(eid, input, ctx, nodes, caches, va)?,
-                ENode::Map(_) => eval_nest_fused(eid, input, ctx, nodes, caches, va)?,
-                _ => None,
             }
         } else if matches!(nodes[eid.index()], ENode::Tuple(..)) {
             eval_projpair_fused(eid, input, ctx, nodes, caches, va)?
@@ -1329,11 +1325,7 @@ fn eval_cartprod_fused(
         va.as_set(b)?;
         let incremental = caches.delta.get(&eid).copied().and_then(|e| {
             let (a_prev, b_prev) = va.as_pair(e.input)?;
-            if !(va.is_subset(a_prev, a)? && va.is_subset(b_prev, b)?) {
-                return None;
-            }
-            let delta_a = va.set_difference(a, a_prev)?;
-            let delta_b = va.set_difference(b, b_prev)?;
+            let (delta_a, delta_b) = product_frontiers(va, (a_prev, b_prev), (a, b))?;
             Some(Plan::Delta {
                 prev_out: e.output,
                 a_prev,
@@ -1406,6 +1398,28 @@ fn eval_cartprod_fused(
     Ok(Some(output))
 }
 
+/// The frontiers `(δA, δB)` of a product whose sides grew from
+/// `(Aₚ, Bₚ)` to `(A, B)` — `None` unless both previous sides are
+/// subsets. A self product (equal sides before and after) computes its
+/// one frontier once.
+fn product_frontiers(
+    va: &mut ValueArena,
+    (a_prev, b_prev): (VId, VId),
+    (a, b): (VId, VId),
+) -> Option<(VId, VId)> {
+    if (a_prev, a) == (b_prev, b) {
+        if !va.is_subset(a_prev, a)? {
+            return None;
+        }
+        let delta = va.set_difference(a, a_prev)?;
+        return Some((delta, delta));
+    }
+    if !(va.is_subset(a_prev, a)? && va.is_subset(b_prev, b)?) {
+        return None;
+    }
+    Some((va.set_difference(a, a_prev)?, va.set_difference(b, b_prev)?))
+}
+
 /// The fused rule for projection-equality predicates
 /// `=_N ∘ ⟨π-chain, π-chain⟩` — the coordinate comparison at the heart
 /// of every Prop 2.1 join condition (`eq_coords`). Both coordinates are
@@ -1422,24 +1436,16 @@ fn eval_projeq_fused(
     caches: &mut Caches,
     va: &mut ValueArena,
 ) -> Result<Option<VId>, EvalError> {
-    let recognised = caches.projeqs.entry(eid).or_insert_with(|| {
-        let ENode::Compose(_, f) = nodes[eid.index()] else {
-            return None;
-        };
-        let ENode::Tuple(p1, p2) = nodes[f.index()] else {
-            return None;
-        };
-        let (mut a, mut b) = (ProjPath::new(), ProjPath::new());
-        proj_path(p1, nodes, &mut a)?;
-        proj_path(p2, nodes, &mut b)?;
-        Some((a, b))
-    });
+    let recognised = caches
+        .projeqs
+        .entry(eid)
+        .or_insert_with(|| shapes::proj_eq_paths(eid, nodes));
     let Some((p1, p2)) = recognised else {
         return Ok(None);
     };
     let output = (|| {
-        let x = apply_proj(va, input, p1)?;
-        let y = apply_proj(va, input, p2)?;
+        let x = shapes::apply_proj(va, input, p1)?;
+        let y = shapes::apply_proj(va, input, p2)?;
         match (va.as_nat(x), va.as_nat(y)) {
             (Some(m), Some(n)) => Some(m == n),
             _ => None,
@@ -1469,12 +1475,7 @@ fn eval_projpair_fused(
     va: &mut ValueArena,
 ) -> Result<Option<VId>, EvalError> {
     let recognised = caches.projpairs.entry(eid).or_insert_with(|| {
-        let ENode::Tuple(p1, p2) = nodes[eid.index()] else {
-            return None;
-        };
-        let (mut a, mut b) = (ProjPath::new(), ProjPath::new());
-        proj_path(p1, nodes, &mut a)?;
-        proj_path(p2, nodes, &mut b)?;
+        let (a, b) = shapes::proj_pair_paths(eid, nodes)?;
         // plain ⟨id, id⟩ (dup) gains nothing from fusion
         (!(a.is_empty() && b.is_empty())).then_some((a, b))
     });
@@ -1482,8 +1483,8 @@ fn eval_projpair_fused(
         return Ok(None);
     };
     let output = (|| {
-        let x = apply_proj(va, input, p1)?;
-        let y = apply_proj(va, input, p2)?;
+        let x = shapes::apply_proj(va, input, p1)?;
+        let y = shapes::apply_proj(va, input, p2)?;
         Some((x, y))
     })();
     let Some((x, y)) = output else {
@@ -1563,6 +1564,147 @@ fn eval_select_fused(
         },
     );
     Ok(Some(output))
+}
+
+/// The fused rule for the equi-join `σ_p ∘ ×` / `σ_p ∘ × ∘ ⟨id, id⟩`
+/// (recognised by [`shapes::join_shape`]): the key conjunct of `p`
+/// compares a natural read from the left element with one read from
+/// the right element, so only the pairs with equal keys can be
+/// selected. The rule matches keys on the two sides and interns just
+/// those pairs — `A × B` is never built — then runs the residual
+/// conjunct, if any, on them as a full, memo-shared sub-derivation (as
+/// [`eval_select_fused`] does). With the delta cache, when the previous
+/// application's sides `(Aₚ, Bₚ)` are subsets of `(A, B)`:
+///
+/// ```text
+/// σ_p(A × B)  =  σ_p(Aₚ × Bₚ)  ∪  σ_p(δA × B)  ∪  σ_p(Aₚ × δB)
+/// ```
+///
+/// so only the two frontier joins run and the previous output is folded
+/// in. One derivation node plus the boundary observations — a subset of
+/// the derived product-then-filter's. `Ok(None)` when the shape does
+/// not match, the sides are not sets, or the gate
+/// ([`shapes::join_conforms`]) finds a key or residual chain that does
+/// not resolve to a natural: the derived selection would then evaluate
+/// a stuck predicate on some pair, so the ordinary derivation runs and
+/// reports it.
+fn eval_join_fused(
+    eid: EId,
+    input: VId,
+    ctx: &mut Ctx,
+    nodes: &[ENode],
+    caches: &mut Caches,
+    va: &mut ValueArena,
+) -> Result<Option<VId>, EvalError> {
+    let Some(join) = shapes::join_shape(eid, nodes, caches.cartprod, &mut caches.shapes) else {
+        return Ok(None);
+    };
+    let Some((a, b)) = join.sides(va, input) else {
+        return Ok(None);
+    };
+    // the previous application, if its sides are subsets of these: its
+    // output and cost, its left side, and the two frontiers
+    let previous = caches.delta.get(&eid).copied().and_then(|e| {
+        let (a_prev, b_prev) = join.sides(va, e.input)?;
+        let (delta_a, delta_b) = product_frontiers(va, (a_prev, b_prev), (a, b))?;
+        Some((e, a_prev, b_prev, delta_a, delta_b))
+    });
+    // a delta entry is only written after its sides passed the gate, so
+    // a grown application gates its frontiers alone
+    let (gate_a, gate_b) = match previous {
+        Some((_, _, _, delta_a, delta_b)) => (delta_a, delta_b),
+        None => (a, b),
+    };
+    if !shapes::join_conforms(&mut caches.shapes, va, eid, &join, gate_a, gate_b) {
+        return Ok(None);
+    }
+    ctx.node(ENode::Compose(eid, eid).head_index())?;
+    ctx.observe_vid(va, input)?;
+    let cost_start = ctx.charged_nodes;
+    let mut matches = Vec::new();
+    let prev_out = match previous {
+        Some((e, a_prev, b_prev, delta_a, delta_b)) => {
+            ctx.stats.delta_hits += 1;
+            let skipped = va
+                .cardinality(a_prev)
+                .unwrap_or(0)
+                .saturating_mul(va.cardinality(b_prev).unwrap_or(0));
+            ctx.stats.delta_skipped += skipped as u64;
+            ctx.charge(e.cost)?;
+            key_matches(va, &join, delta_a, b, &mut matches);
+            key_matches(va, &join, a_prev, delta_b, &mut matches);
+            Some(e.output)
+        }
+        None => {
+            key_matches(va, &join, a, b, &mut matches);
+            None
+        }
+    };
+    let mut selected = Vec::with_capacity(matches.len());
+    for (x, y) in matches {
+        let pair = va.pair(x, y);
+        if let Some(q) = join.residual {
+            let verdict = eval_eid(q, pair, ctx, nodes, caches, va)?;
+            match va.as_bool(verdict) {
+                Some(true) => {}
+                Some(false) => continue,
+                None => return Err(stuck("if", "condition is not boolean")),
+            }
+        }
+        selected.push(pair);
+    }
+    let sel = va.set_from_vec(selected);
+    let output = match prev_out {
+        Some(prev) => va
+            .set_merge_frontier(prev, &[sel])
+            .expect("selections are sets"),
+        None => sel,
+    };
+    ctx.observe_vid(va, output)?;
+    let cost = ctx.charged_nodes - cost_start;
+    caches.delta.insert(
+        eid,
+        DeltaEntry {
+            input,
+            output,
+            cost,
+        },
+    );
+    Ok(Some(output))
+}
+
+/// Push every pair `(x, y) ∈ left × right` whose join keys are equal.
+/// The smaller side is sorted by key and the other side probes it by
+/// binary search. The gate has checked that every key resolves.
+fn key_matches(
+    va: &ValueArena,
+    join: &shapes::JoinShape,
+    left: VId,
+    right: VId,
+    out: &mut Vec<(VId, VId)>,
+) {
+    let key = |v: VId, path: &[bool]| {
+        shapes::apply_proj(va, v, path)
+            .and_then(|k| va.as_nat(k))
+            .expect("the join gate checked every key")
+    };
+    let xs = va.as_set(left).expect("join sides are sets");
+    let ys = va.as_set(right).expect("join sides are sets");
+    let index_left = xs.len() <= ys.len();
+    let (small, small_key, large, large_key) = if index_left {
+        (&xs, &join.left_key, &ys, &join.right_key)
+    } else {
+        (&ys, &join.right_key, &xs, &join.left_key)
+    };
+    let mut index: Vec<(u64, VId)> = small.iter().map(|&v| (key(v, small_key), v)).collect();
+    index.sort_unstable();
+    for &v in large.iter() {
+        let k = key(v, large_key);
+        let start = index.partition_point(|&(ik, _)| ik < k);
+        for &(_, w) in index[start..].iter().take_while(|&&(ik, _)| ik == k) {
+            out.push(if index_left { (w, v) } else { (v, w) });
+        }
+    }
 }
 
 /// The `μ` (flatten) rule of [`eval_eid`] under semi-naive iteration:

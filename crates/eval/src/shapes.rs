@@ -12,7 +12,11 @@
 //!   componentwise at products; antisymmetric inclusion at sets);
 //! * `member(t) = ¬empty ∘ σ_{=ₜ} ∘ ρ₂`;
 //! * `subset(t) = empty ∘ σ_{¬∈} ∘ ρ₁`;
-//! * `nest(s,t) = map(⟨π₁, image⟩) ∘ ρ₁ ∘ ⟨map(π₁), id⟩`.
+//! * `nest(s,t) = map(⟨π₁, image⟩) ∘ ρ₁ ∘ ⟨map(π₁), id⟩`;
+//! * the equi-join `σ_p ∘ ×` / `σ_p ∘ × ∘ ⟨id, id⟩`, where `p` is a
+//!   projection equality `=_N ∘ ⟨π₁ ∘ …, π₂ ∘ …⟩` across the two
+//!   product components, optionally conjoined (`∧`, on either side) with
+//!   one residual projection equality or its negation ([`join_shape`]).
 //!
 //! A match is exact — every leaf of the skeleton is verified — and the
 //! matchers return the **type the skeleton witnesses** (`eq_at`'s
@@ -26,13 +30,16 @@
 //! bit-for-bit contract requires falling back to the ordinary
 //! derivation there. Verdicts are memoised per `EId` (and conformance
 //! per `(EId, VId)`) in [`ShapeCaches`], which the cache state
-//! invalidates whenever handles could have been reissued.
+//! invalidates whenever handles could have been reissued. The join's
+//! gate ([`join_conforms`]) is the analogue for its projection paths:
+//! every path it reads must resolve to a natural on every element.
 
 use nra_core::expr::intern::{EId, ENode};
 use nra_core::expr::Expr;
 use nra_core::types::Type;
 use nra_core::value::intern::{FxBuildHasher, VId, ValueArena};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Memoised recognition verdicts (`EId` → the witnessed type, `None`
 /// for a non-match) plus per-`(shape, value)` conformance verdicts.
@@ -43,11 +50,14 @@ pub(crate) struct ShapeCaches {
     members: HashMap<EId, Option<Type>, FxBuildHasher>,
     subsets: HashMap<EId, Option<Type>, FxBuildHasher>,
     nests: HashMap<EId, Option<Type>, FxBuildHasher>,
+    joins: HashMap<EId, Option<Arc<JoinShape>>, FxBuildHasher>,
     /// Conformance verdicts for the fused rules' runtime gate, keyed
     /// `(shape EId, value VId)` — the type is fixed per shape, and
     /// hash-consing makes the per-element checks of a growing set
     /// amortise to its fresh elements.
     conforms: HashMap<(EId, VId), bool, FxBuildHasher>,
+    /// The join gate's verdicts, keyed `(join EId, left set, right set)`.
+    join_gates: HashMap<(EId, VId, VId), bool, FxBuildHasher>,
 }
 
 impl ShapeCaches {
@@ -57,7 +67,9 @@ impl ShapeCaches {
         self.members.clear();
         self.subsets.clear();
         self.nests.clear();
+        self.joins.clear();
         self.conforms.clear();
+        self.join_gates.clear();
     }
 }
 
@@ -96,6 +108,69 @@ pub(crate) fn conforms_cached(
     let verdict = value_conforms(va, v, t);
     caches.conforms.insert((eid, v), verdict);
     verdict
+}
+
+/// A chain of pair projections, innermost step first: `false` = `π₁`
+/// (`fst`), `true` = `π₂` (`snd`). `compose(snd, fst)` is `[false,
+/// true]` — apply `fst`, then `snd`.
+pub(crate) type ProjPath = Vec<bool>;
+
+/// Walk a candidate projection chain (`fst`/`snd`/`id` leaves glued by
+/// `compose`) into its [`ProjPath`], or `None` if any other head
+/// occurs.
+pub(crate) fn proj_path(eid: EId, nodes: &[ENode], out: &mut ProjPath) -> Option<()> {
+    match &nodes[eid.index()] {
+        ENode::Leaf(leaf) => match **leaf {
+            Expr::Fst => {
+                out.push(false);
+                Some(())
+            }
+            Expr::Snd => {
+                out.push(true);
+                Some(())
+            }
+            Expr::Id => Some(()),
+            _ => None,
+        },
+        // g ∘ f applies f first
+        ENode::Compose(g, f) => {
+            proj_path(*f, nodes, out)?;
+            proj_path(*g, nodes, out)
+        }
+        _ => None,
+    }
+}
+
+/// The two chains of a projection tupling `⟨π-chain, π-chain⟩`.
+pub(crate) fn proj_pair_paths(eid: EId, nodes: &[ENode]) -> Option<(ProjPath, ProjPath)> {
+    let ENode::Tuple(p1, p2) = nodes[eid.index()] else {
+        return None;
+    };
+    let (mut a, mut b) = (ProjPath::new(), ProjPath::new());
+    proj_path(p1, nodes, &mut a)?;
+    proj_path(p2, nodes, &mut b)?;
+    Some((a, b))
+}
+
+/// The two chains of a projection equality `=_N ∘ ⟨π-chain, π-chain⟩`.
+pub(crate) fn proj_eq_paths(eid: EId, nodes: &[ENode]) -> Option<(ProjPath, ProjPath)> {
+    let ENode::Compose(eq, f) = nodes[eid.index()] else {
+        return None;
+    };
+    if !leaf_is(nodes, eq, &Expr::EqNat) {
+        return None;
+    }
+    proj_pair_paths(f, nodes)
+}
+
+/// Apply a [`ProjPath`] to a value by direct arena reads. `None` when a
+/// non-pair shows up mid-chain.
+pub(crate) fn apply_proj(va: &ValueArena, mut v: VId, path: &[bool]) -> Option<VId> {
+    for &snd in path {
+        let (x, y) = va.as_pair(v)?;
+        v = if snd { y } else { x };
+    }
+    Some(v)
 }
 
 /// Is `eid` the given non-recursive primitive?
@@ -167,7 +242,7 @@ fn is_rho1(nodes: &[ENode], eid: EId) -> bool {
 }
 
 /// `σ_p = μ ∘ map(if p then η else ∅ˢ ∘ !)` — returns the predicate.
-fn select_shape(nodes: &[ENode], eid: EId) -> Option<EId> {
+pub(crate) fn select_shape(nodes: &[ENode], eid: EId) -> Option<EId> {
     let ENode::Compose(g, f) = nodes[eid.index()] else {
         return None;
     };
@@ -411,6 +486,181 @@ pub(crate) fn nest_key_type(eid: EId, nodes: &[ENode], caches: &mut ShapeCaches)
     verdict
 }
 
+/// How an equi-join reads its two sides from its input.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum JoinInput {
+    /// `σ_p ∘ ×` on a pair of sets `(A, B)`.
+    Pair,
+    /// `σ_p ∘ × ∘ ⟨id, id⟩` on one set `R`, joined with itself.
+    Dup,
+}
+
+/// A recognised equi-join `σ_p ∘ ×` (or `σ_p ∘ × ∘ ⟨id, id⟩`): the
+/// selection keeps the pairs `(x, y)` whose keys `x.left_key` and
+/// `y.right_key` are equal naturals and, if there is one, on which the
+/// residual conjunct holds.
+pub(crate) struct JoinShape {
+    /// Where the two sides come from.
+    pub(crate) input: JoinInput,
+    /// The key chain on the left element (the chain after its `π₁`).
+    pub(crate) left_key: ProjPath,
+    /// The key chain on the right element (the chain after its `π₂`).
+    pub(crate) right_key: ProjPath,
+    /// The residual conjunct `q` over the pair `(x, y)` — a projection
+    /// equality or its negation — if `p = ∧ ∘ ⟨key, q⟩` (or `⟨q, key⟩`).
+    pub(crate) residual: Option<EId>,
+    /// Every chain the join reads from a left element (key and
+    /// residual), for the gate.
+    left_paths: Vec<ProjPath>,
+    /// Every chain the join reads from a right element.
+    right_paths: Vec<ProjPath>,
+}
+
+impl JoinShape {
+    /// The two sides `(A, B)` of the product on `input`, or `None` when
+    /// they are not both sets.
+    pub(crate) fn sides(&self, va: &ValueArena, input: VId) -> Option<(VId, VId)> {
+        let (a, b) = match self.input {
+            JoinInput::Pair => va.as_pair(input)?,
+            JoinInput::Dup => (input, input),
+        };
+        va.cardinality(a)?;
+        va.cardinality(b)?;
+        Some((a, b))
+    }
+}
+
+/// Split a chain over a product element `(x, y)` at its first step:
+/// which component it reads (`false` = `x`) and the chain after it.
+fn split_side(mut path: ProjPath) -> Option<(bool, ProjPath)> {
+    if path.is_empty() {
+        return None;
+    }
+    let side = path.remove(0);
+    Some((side, path))
+}
+
+/// The key conjunct: a projection equality whose chains read opposite
+/// product components. Returns `(left chain, right chain)`.
+fn join_key(eid: EId, nodes: &[ENode]) -> Option<(ProjPath, ProjPath)> {
+    let (a, b) = proj_eq_paths(eid, nodes)?;
+    match (split_side(a)?, split_side(b)?) {
+        ((false, l), (true, r)) | ((true, r), (false, l)) => Some((l, r)),
+        _ => None,
+    }
+}
+
+/// The residual conjunct: a projection equality or `¬` of one. Returns
+/// its two chains, each split by the component it reads.
+fn join_residual(eid: EId, nodes: &[ENode]) -> Option<[(bool, ProjPath); 2]> {
+    let eq = match nodes[eid.index()] {
+        ENode::Compose(n, eq) if is_not(nodes, n) => eq,
+        _ => eid,
+    };
+    let (a, b) = proj_eq_paths(eq, nodes)?;
+    Some([split_side(a)?, split_side(b)?])
+}
+
+/// Is `eid` an equi-join `σ_p ∘ ×` or `σ_p ∘ × ∘ ⟨id, id⟩` (with
+/// `cartprod` the interned product)? The predicate is a key
+/// [`join_key`], or `∧ ∘ ⟨key, q⟩` / `∧ ∘ ⟨q, key⟩` with `q` a
+/// [`join_residual`].
+pub(crate) fn join_shape(
+    eid: EId,
+    nodes: &[ENode],
+    cartprod: EId,
+    caches: &mut ShapeCaches,
+) -> Option<Arc<JoinShape>> {
+    if let Some(verdict) = caches.joins.get(&eid) {
+        return verdict.clone();
+    }
+    let verdict = (|| {
+        let ENode::Compose(sel, prod) = nodes[eid.index()] else {
+            return None;
+        };
+        let input = if prod == cartprod {
+            JoinInput::Pair
+        } else {
+            let ENode::Compose(c, d) = nodes[prod.index()] else {
+                return None;
+            };
+            let (x, y) = proj_pair_paths(d, nodes)?;
+            (c == cartprod && x.is_empty() && y.is_empty()).then_some(JoinInput::Dup)?
+        };
+        let pred = select_shape(nodes, sel)?;
+        let ((left_key, right_key), residual, residual_paths) = match join_key(pred, nodes) {
+            Some(key) => (key, None, Vec::new()),
+            None => {
+                let ENode::Compose(and, args) = nodes[pred.index()] else {
+                    return None;
+                };
+                let ENode::Tuple(p, q) = nodes[args.index()] else {
+                    return None;
+                };
+                if !is_and2(nodes, and) {
+                    return None;
+                }
+                let (key, q) = match (join_key(p, nodes), join_key(q, nodes)) {
+                    (Some(key), _) => (key, q),
+                    (_, Some(key)) => (key, p),
+                    _ => return None,
+                };
+                (key, Some(q), Vec::from(join_residual(q, nodes)?))
+            }
+        };
+        let mut left_paths = vec![left_key.clone()];
+        let mut right_paths = vec![right_key.clone()];
+        for (side, path) in residual_paths {
+            if side {
+                right_paths.push(path);
+            } else {
+                left_paths.push(path);
+            }
+        }
+        Some(Arc::new(JoinShape {
+            input,
+            left_key,
+            right_key,
+            residual,
+            left_paths,
+            right_paths,
+        }))
+    })();
+    caches.joins.insert(eid, verdict.clone());
+    verdict
+}
+
+/// The join's runtime gate: does every chain the join reads resolve to
+/// a natural — the left chains on every element of `left`, the right
+/// chains on every element of `right`? Exactly the condition under
+/// which the derived selection is total on `left × right` (no `=_N` or
+/// `¬` gets stuck), so the keyed join may skip the predicate on the
+/// pairs whose keys differ. Memoised per `(join, left, right)`.
+pub(crate) fn join_conforms(
+    caches: &mut ShapeCaches,
+    va: &ValueArena,
+    eid: EId,
+    join: &JoinShape,
+    left: VId,
+    right: VId,
+) -> bool {
+    if let Some(&verdict) = caches.join_gates.get(&(eid, left, right)) {
+        return verdict;
+    }
+    let resolves = |set: VId, paths: &[ProjPath]| {
+        va.as_set(set).is_some_and(|items| {
+            items.iter().all(|&v| {
+                paths
+                    .iter()
+                    .all(|p| apply_proj(va, v, p).and_then(|n| va.as_nat(n)).is_some())
+            })
+        })
+    };
+    let verdict = resolves(left, &join.left_paths) && resolves(right, &join.right_paths);
+    caches.join_gates.insert((eid, left, right), verdict);
+    verdict
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,6 +756,101 @@ mod tests {
         assert!(caches.subsets.values().any(|v| v.is_some()));
         caches.clear();
         assert!(caches.eq_ats.is_empty() && caches.subsets.is_empty());
+    }
+
+    fn recognise_join(e: &Expr) -> Option<Arc<JoinShape>> {
+        let mut arena = ExprArena::new();
+        let eid = arena.intern(e);
+        let cartprod = arena.intern(&derived::cartprod());
+        join_shape(
+            eid,
+            &arena.snapshot(),
+            cartprod,
+            &mut ShapeCaches::default(),
+        )
+    }
+
+    #[test]
+    fn join_matches_key_selections_over_products() {
+        let edge = Type::prod(Type::Nat, Type::Nat);
+        let pairs = Type::prod(edge.clone(), edge);
+        let coord = |outer: Expr, inner: Expr| compose(outer, inner);
+        let eq = |x: Expr, y: Expr| compose(eq_nat(), tuple(x, y));
+        // b = c, the composition key; b = d ∧ a ≠ c, the siblings test
+        let key_bc = eq(coord(snd(), fst()), coord(fst(), snd()));
+        let key_bd = eq(coord(snd(), fst()), coord(snd(), snd()));
+        let neq_ac = derived::pnot(eq(coord(fst(), fst()), coord(fst(), snd())));
+        let sel = |p: Expr| derived::select(p, pairs.clone());
+
+        let join = recognise_join(&compose(sel(key_bc.clone()), derived::self_product()))
+            .expect("compose_rel's join");
+        assert_eq!(join.input, JoinInput::Dup);
+        assert_eq!(
+            (join.left_key.clone(), join.right_key.clone()),
+            (vec![true], vec![false])
+        );
+        assert_eq!(join.residual, None);
+        let join = recognise_join(&compose(sel(key_bc.clone()), derived::cartprod()))
+            .expect("the join on a pair of sets");
+        assert_eq!(join.input, JoinInput::Pair);
+        // the key conjunct on either side of ∧
+        for p in [
+            derived::pand(key_bd.clone(), neq_ac.clone()),
+            derived::pand(neq_ac.clone(), key_bd.clone()),
+        ] {
+            let join = recognise_join(&compose(sel(p), derived::self_product()))
+                .expect("the siblings join");
+            assert_eq!(
+                (join.left_key.clone(), join.right_key.clone()),
+                (vec![true], vec![true])
+            );
+            assert!(join.residual.is_some());
+            assert_eq!(join.left_paths.len(), 2);
+            assert_eq!(join.right_paths.len(), 2);
+        }
+        // near misses: both key chains on one side, a residual that is
+        // not a projection equality, a selection over a non-product
+        let same_side = eq(coord(fst(), fst()), coord(snd(), fst()));
+        for e in [
+            compose(sel(same_side), derived::self_product()),
+            compose(
+                sel(derived::pand(key_bc.clone(), always_true())),
+                derived::self_product(),
+            ),
+            compose(sel(key_bc.clone()), id()),
+            compose(
+                sel(key_bc),
+                compose(derived::cartprod(), tuple(id(), fst())),
+            ),
+        ] {
+            assert!(recognise_join(&e).is_none(), "{e}");
+        }
+    }
+
+    #[test]
+    fn join_gate_requires_natural_keys_on_every_element() {
+        let pairs = Type::prod(Type::nat_rel(), Type::nat_rel());
+        let key = compose(
+            eq_nat(),
+            tuple(compose(snd(), fst()), compose(fst(), snd())),
+        );
+        let e = compose(derived::select(key, pairs), derived::self_product());
+        let mut arena = ExprArena::new();
+        let eid = arena.intern(&e);
+        let cartprod = arena.intern(&derived::cartprod());
+        let mut caches = ShapeCaches::default();
+        let join = join_shape(eid, &arena.snapshot(), cartprod, &mut caches).unwrap();
+        let mut va = ValueArena::new();
+        let good = va.chain(3);
+        let (one, yes) = (va.nat(1), va.bool_(true));
+        let bad_edge = va.pair(yes, one);
+        let bad = va.set([bad_edge]);
+        assert!(join_conforms(&mut caches, &va, eid, &join, good, good));
+        // the right key reads π₁ of a right element: a boolean there fails
+        assert!(!join_conforms(&mut caches, &va, eid, &join, good, bad));
+        // the left key reads π₂ of a left element: the boolean is not read
+        assert!(join_conforms(&mut caches, &va, eid, &join, bad, good));
+        assert_eq!(caches.join_gates.len(), 3);
     }
 
     #[test]

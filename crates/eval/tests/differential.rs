@@ -24,13 +24,52 @@ fn edge_ty() -> Type {
     Type::prod(Type::Nat, Type::Nat)
 }
 
+/// The composition key `π₂∘π₁ = π₁∘π₂` over a pair of edges
+/// `((a, b), (c, d))`: `b = c`.
+fn key_bc() -> nra_core::Expr {
+    compose(
+        eq_nat(),
+        tuple(compose(snd(), fst()), compose(fst(), snd())),
+    )
+}
+
+/// `σ_{b=c} ∘ ×` — the composition join on a *pair* of relations.
+fn join_bc() -> nra_core::Expr {
+    compose(
+        derived::select(key_bc(), Type::prod(edge_ty(), edge_ty())),
+        derived::cartprod(),
+    )
+}
+
+/// `π₂ ∘ while(⟨tc_step ∘ π₁, join ∘ sides ∘ π₁⟩) ∘ ⟨id, join ∘ sides⟩`:
+/// the state is `(r, join(sides(r)))`, so every iterate re-applies the
+/// join to grown sides and the answer is the join's own last output —
+/// a frontier join that dropped pairs would show in the result, not
+/// only in the closure's convergence.
+fn join_in_fixpoint(join: nra_core::Expr, sides: nra_core::Expr) -> nra_core::Expr {
+    let joined = compose(join, sides);
+    pipeline([
+        tuple(id(), joined.clone()),
+        while_fix(tuple(
+            compose(queries::tc_step(), fst()),
+            pipeline([fst(), queries::tc_step(), joined]),
+        )),
+        snd(),
+    ])
+}
+
 /// Queries exercising the fused derived shapes — `nest`/`unnest`,
 /// membership and inclusion predicates (via `∩`, `∖`, `⊆`, `=` at set
-/// types) — each of type `{N × N} → t` so the family graphs feed them
-/// directly, and each wrapping a growing `tc_step` so the semi-naive
-/// walker sees the shapes re-fire on grown inputs.
+/// types), and the keyed equi-join over a product — each of type
+/// `{N × N} → t` so the family graphs feed them directly, and each
+/// wrapping a growing `tc_step` so the semi-naive walker sees the
+/// shapes re-fire on grown inputs.
 fn fused_shape_queries() -> Vec<(&'static str, nra_core::Expr)> {
     let rel = Type::set(edge_ty());
+    let self_join = compose(
+        derived::select(key_bc(), Type::prod(edge_ty(), edge_ty())),
+        derived::self_product(),
+    );
     vec![
         // nest ∘ unnest round-trips inside the fixpoint: the body is
         // exactly tc_step followed by an identity detour through the
@@ -76,6 +115,25 @@ fn fused_shape_queries() -> Vec<(&'static str, nra_core::Expr)> {
                 derived::eq_at(&rel),
                 tuple(queries::tc_step(), queries::tc_while()),
             ),
+        ),
+        // the equi-join on the self product: key only, and key ∧ ≠
+        ("compose_rel", queries::compose_rel()),
+        ("siblings_direct", queries::siblings_direct()),
+        // the join on two different sides
+        (
+            "σ_{b=c} ∘ × ∘ ⟨id, tc_step⟩",
+            compose(join_bc(), tuple(id(), queries::tc_step())),
+        ),
+        // ... and both joins re-applied to grown sides inside a
+        // fixpoint: the self product (δA = δB) and ⟨id, tc_step⟩, whose
+        // sides grow by different frontiers (δA ≠ δB)
+        (
+            "join(r × r) in a fixpoint",
+            join_in_fixpoint(self_join, id()),
+        ),
+        (
+            "join(r × tc_step(r)) in a fixpoint",
+            join_in_fixpoint(join_bc(), tuple(id(), queries::tc_step())),
         ),
     ]
 }
@@ -549,6 +607,35 @@ fn fused_derived_shapes_fire() {
     );
 }
 
+/// The keyed equi-join fires: on a 64-node road grid semi-naive
+/// `compose_rel` never observes an object as large as `r × r` (the
+/// product is not built), and `tc_while` serves the join of its grown
+/// iterates from the delta cache.
+#[test]
+fn fused_join_fires() {
+    let g = nra_testkit::graphs::road_grid(&mut Rng::new(64), 64);
+    let input = graph_to_value(&DiGraph::from_edges(g.edges));
+    let semi = EvalConfig::semi_naive();
+    let product = evaluate(&derived::self_product(), &input, &semi);
+    let product_size = product.result.unwrap().size();
+    for q in [queries::compose_rel(), queries::siblings_direct()] {
+        let ev = evaluate(&q, &input, &semi);
+        assert!(ev.result.is_ok(), "{q}: {:?}", ev.result);
+        assert!(
+            ev.stats.max_object_size < product_size,
+            "{q}: max object {} should stay below size(r × r) = {product_size}",
+            ev.stats.max_object_size
+        );
+    }
+    let closure = evaluate(&queries::tc_while(), &input, &semi);
+    assert!(closure.result.is_ok(), "{:?}", closure.result);
+    assert!(
+        closure.stats.delta_hits > 0,
+        "tc_while: expected delta hits, stats {:?}",
+        closure.stats
+    );
+}
+
 /// Bounded-witness transitive closure: each iterate joins the ≤2-edge
 /// subsets of the current relation, so the body is `powersetₘ` applied
 /// to a *growing* base — the workload the semi-naive lazy context
@@ -703,5 +790,78 @@ fn fused_predicates_preserve_ill_typed_semantics() {
             "nest(N, N) on an ill-typed key must stay stuck: {:?}",
             ev.result
         );
+    }
+    // the equi-join's gate: a key that is a boolean or a pair makes the
+    // derived selection compare a non-natural on some pair of r × r
+    let edge = |a: Value, b: Value| Value::pair(a, b);
+    let n = Value::nat;
+    for input in [
+        Value::set([edge(n(1), n(2)), edge(Value::TRUE, n(3))]),
+        Value::set([edge(n(1), n(2)), edge(edge(n(1), n(2)), n(3))]),
+    ] {
+        for cfg in &configs {
+            let ev = evaluate(&queries::compose_rel(), &input, cfg);
+            assert!(
+                matches!(ev.result, Err(EvalError::Stuck { .. })),
+                "compose_rel on {input} must stay stuck: {:?}",
+                ev.result
+            );
+        }
+    }
+    // siblings_direct: the key b = d compares naturals, but the residual
+    // a ≠ c meets a boolean — the derived ∧ evaluates both conjuncts
+    let input = Value::set([edge(Value::TRUE, n(2)), edge(n(1), n(2))]);
+    for cfg in &configs {
+        let ev = evaluate(&queries::siblings_direct(), &input, cfg);
+        assert!(
+            matches!(ev.result, Err(EvalError::Stuck { .. })),
+            "siblings_direct on {input} must stay stuck: {:?}",
+            ev.result
+        );
+    }
+}
+
+/// The join's large-graph rung: `compose_rel`, `tc_step` and
+/// `siblings_direct` on the 512-node serving families, and `tc_while`
+/// at the `closure_while` serving sizes — semi-naive (keyed join) and
+/// exact mode (product then filter) must agree bit for bit. Seconds per
+/// graph in exact mode, so `#[ignore]`d under debug; CI runs it with
+/// `cargo test --release -p nra-eval --test differential -- --include-ignored`.
+#[test]
+#[ignore = "release-sized: run with --release -- --include-ignored"]
+fn fused_join_agrees_with_exact_mode_on_large_graphs() {
+    let mut rng = Rng::new(0x501);
+    let mut cases = Vec::new();
+    for g in nra_testkit::graphs::large_family_graphs(&mut rng, 512) {
+        for (label, q) in [
+            ("compose_rel", queries::compose_rel()),
+            ("tc_step", queries::tc_step()),
+            ("siblings_direct", queries::siblings_direct()),
+        ] {
+            cases.push((g.family, 512, label, q, g.edges.clone()));
+        }
+    }
+    for (g, n) in [
+        (nra_testkit::graphs::road_grid(&mut rng, 32), 32),
+        (nra_testkit::graphs::power_law(&mut rng, 96), 96),
+        (nra_testkit::graphs::two_community(&mut rng, 20), 20),
+    ] {
+        cases.push((g.family, n, "tc_while", queries::tc_while(), g.edges));
+    }
+    for (family, n, label, q, edges) in cases {
+        let input = graph_to_value(&DiGraph::from_edges(edges));
+        let exact = evaluate(&q, &input, &EvalConfig::default());
+        let semi = evaluate(&q, &input, &EvalConfig::semi_naive());
+        assert_eq!(
+            exact.result.as_ref().unwrap(),
+            semi.result.as_ref().unwrap(),
+            "{family} {n}: {label}"
+        );
+        assert_eq!(
+            exact.stats.while_iterations, semi.stats.while_iterations,
+            "{family} {n}: {label}"
+        );
+        // each graph is a fresh input: drop the previous one's handles
+        nra_core::value::intern::reset_thread_arena();
     }
 }
