@@ -8,7 +8,7 @@
 //! see DESIGN.md §4 for the experiment index.
 //!
 //! As a side effect the run refreshes `BENCH_eval.json` at the repository
-//! root (the tree-vs-interned-vs-memoised evaluator comparison, same
+//! root (the evaluator-rung comparison, same
 //! format as `cargo bench -p nra-bench --bench interning`), so either
 //! entry point keeps the perf trajectory current.
 
@@ -58,7 +58,7 @@ fn bench_eval_json() {
 fn e13_delta_frontiers() {
     println!("## E13 — semi-naive iteration: the (total, delta) frontier trace");
     println!();
-    println!("Under `EvalConfig::semi_naive` the `while` rule threads a `(total, delta)`");
+    println!("In serve mode (`EvalConfig::serve`) the `while` rule threads a `(total, delta)`");
     println!("pair: each iterate's body runs on the frontier only (the facts the fixpoint");
     println!("gained since the previous iterate), and the new facts are folded in by the");
     println!("arena's one-pass merge algebra. Results are bit-for-bit the naive-iteration");
@@ -72,7 +72,7 @@ fn e13_delta_frontiers() {
     );
     println!("|--|--:|--:|--|--:|--:|--:|");
     let cfg = EvalConfig::default();
-    let semi_cfg = EvalConfig::semi_naive();
+    let semi_cfg = EvalConfig::serve();
     let tc_while = queries::tc_while();
     let workloads: Vec<(&str, u64, Value)> = vec![
         ("chain/tc_while", 8, Value::chain(8)),
@@ -132,12 +132,12 @@ fn e14_optimiser() {
     println!("siblings idioms are recognised by handle and rewritten to their");
     println!("polynomial routes, turning Theorem 4.1's separation into an");
     println!("optimisation. Every other query comes back unchanged. Both columns run");
-    println!("under `EvalConfig::optimised`, so the delta is the rewrite alone:");
+    println!("under `EvalConfig::serve`, so the delta is the rewrite alone:");
     println!();
     println!("| workload | n | raw | optimised | speedup | rewritten |");
     println!("|--|--:|--:|--:|--:|--:|");
     let samples = nra_bench::bench_samples();
-    let cfg = EvalConfig::optimised();
+    let cfg = EvalConfig::serve();
     let spine = (1..8).fold(queries::tc_step(), |acc, _| {
         builder::compose(queries::tc_step(), acc)
     });
@@ -183,7 +183,7 @@ fn e14_optimiser() {
     // is exactly the difference between refused and answered
     let strict = EvalConfig {
         max_object_size: Some(1 << 19),
-        ..EvalConfig::optimised()
+        ..EvalConfig::serve()
     };
     let input = Value::chain(20);
     let raw = evaluate(&queries::tc_paths(), &input, &strict);
@@ -859,17 +859,18 @@ fn e11_lazy() {
 fn e12_apply_cache() {
     println!("## E12 — the apply cache: hit rates and arena occupancy");
     println!();
-    println!("The memoised evaluator (`EvalConfig::memoised`) keys a table");
+    println!("Serve mode (`EvalConfig::serve`) keys an apply cache");
     println!("`(EId, VId) → VId` on the hash-consed expression and value arenas: a hit");
     println!("returns the cached result handle in O(1) instead of re-running the §3");
-    println!("derivation. Results are bit-for-bit identical to the unmemoised path (the");
+    println!("derivation. Results are bit-for-bit identical to exact mode (the");
     println!("differential harnesses enforce this); hits are reported *separately* from");
-    println!("the §3 counters, which the default (memo-off) mode keeps exact.");
+    println!("the §3 counters, which the default exact mode keeps exact. The nodes saved");
+    println!("include those of semi-naive iteration and the fused rules.");
     println!();
     println!("| workload | n | memo hits | misses | hit rate | derivation nodes saved |");
     println!("|--|--:|--:|--:|--:|--:|");
     let cfg = EvalConfig::default();
-    let memo_cfg = EvalConfig::memoised();
+    let memo_cfg = EvalConfig::serve();
     let tc_while = queries::tc_while();
     let workloads: Vec<(&str, u64, Value)> = vec![
         ("chain/tc_while", 8, Value::chain(8)),
@@ -888,7 +889,7 @@ fn e12_apply_cache() {
         assert_eq!(
             plain.result.unwrap(),
             memo.result.unwrap(),
-            "memoised path disagrees on {label} n={n}"
+            "serve mode disagrees on {label} n={n}"
         );
         println!(
             "| {} | {} | {} | {} | {:.1}% | {} |",

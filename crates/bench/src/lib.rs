@@ -3,7 +3,7 @@
 //! Shared measurement helpers for the experiment suite (E1–E12 of
 //! DESIGN.md): complexity series over the chain inputs, slope fits for
 //! exponential/polynomial growth classification, wall-clock timing, and
-//! the tree-vs-interned-vs-memoised evaluator comparison
+//! the evaluator-rung comparison
 //! ([`compare_eval`]) whose results accumulate in `BENCH_eval.json` at
 //! the repository root ([`write_bench_eval_json`]), plus the serving
 //! benchmark ([`serve`]) behind `BENCH_serve.json` — sustained qps
@@ -122,14 +122,14 @@ pub fn bench_samples() -> usize {
     tinybench::default_samples()
 }
 
-/// One timed comparison of the four eager evaluation paths — the
-/// tree-walking baseline, the interned (hash-consed) path, the
-/// memoised path (interned + the `(EId, VId) → VId` apply cache), and
-/// the semi-naive path (apply cache + delta-driven `while` iteration,
-/// [`nra_eval::EvalConfig::optimised`]) — on the same query and input,
-/// plus the semi-naive path re-run on the **rewrite-optimised** query
-/// ([`nra_opt::optimise_expr`]), isolating the `nra-opt` pass's win
-/// over the semi-naive rung.
+/// One timed comparison of the evaluator rungs on the same query and
+/// input, each measured against its immediate predecessor: the
+/// tree-walking baseline, the interned (hash-consed) path in
+/// [`nra_eval::Mode::Exact`], the serving mode
+/// ([`nra_eval::EvalConfig::serve`]: apply cache, semi-naive iteration,
+/// fused rules), the serving mode on the **rewrite-optimised** query
+/// ([`nra_opt::optimise_expr`], isolating the `nra-opt` pass's win),
+/// then the warm, batch and shared-warm session rungs.
 #[derive(Debug, Clone)]
 pub struct EvalComparison {
     /// Workload label, e.g. `"chain/tc_while"`.
@@ -138,27 +138,25 @@ pub struct EvalComparison {
     pub n: u64,
     /// Median wall-clock of [`nra_eval::evaluate_tree`].
     pub tree: Duration,
-    /// Median wall-clock of [`nra_eval::evaluate`] (the interned path).
+    /// Median wall-clock of [`nra_eval::evaluate`] (the interned path,
+    /// exact mode).
     pub interned: Duration,
     /// Median wall-clock of [`nra_eval::evaluate`] under
-    /// [`nra_eval::EvalConfig::memoised`] (interned + apply cache).
-    pub memoised: Duration,
-    /// Median wall-clock of [`nra_eval::evaluate`] under
-    /// [`nra_eval::EvalConfig::optimised`] (apply cache + semi-naive
-    /// delta-driven iteration).
-    pub seminaive: Duration,
+    /// [`nra_eval::EvalConfig::serve`] (apply cache + semi-naive
+    /// delta-driven iteration + fused rules).
+    pub serve: Duration,
     /// Median wall-clock of the **rewrite-optimised** query
     /// ([`nra_opt::optimise_expr`]) under the same
-    /// [`nra_eval::EvalConfig::optimised`] configuration — the
+    /// [`nra_eval::EvalConfig::serve`] configuration — the
     /// steady-state cost after the `nra-opt` pass has run once (sessions
     /// cache the rewrite per root). On workloads no rescue touches
     /// this column times the identical query as
-    /// [`EvalComparison::seminaive`]; on the powerset-route rows the
+    /// [`EvalComparison::serve`]; on the powerset-route rows the
     /// rescue rewrite moves the query into the polynomial class.
     pub optimised: Duration,
     /// Median wall-clock of a **warm** re-evaluation: the same query on
-    /// the same input through an [`nra_eval::EvalSession`] (optimised
-    /// config) that already evaluated it once — the cross-query apply
+    /// the same input through an [`nra_eval::EvalSession`] (serve
+    /// mode) that already evaluated it once — the cross-query apply
     /// cache serves the whole judgment.
     pub warm: Duration,
     /// Median wall-clock of the [`BATCH_JOBS`]-query batch (the query
@@ -183,25 +181,17 @@ impl EvalComparison {
         self.tree.as_secs_f64() / self.interned.as_secs_f64().max(1e-12)
     }
 
-    /// How many times faster the apply cache makes the interned path
-    /// (interned / memoised). Recorded per workload (and as a geomean)
-    /// in `BENCH_eval.json`; CI prints it but gates only on the
-    /// interned-over-tree geomean.
-    pub fn memo_speedup(&self) -> f64 {
-        self.interned.as_secs_f64() / self.memoised.as_secs_f64().max(1e-12)
-    }
-
-    /// How many times faster semi-naive (delta-driven) iteration makes
-    /// the *memoised* path (memoised / seminaive) — the incremental win
-    /// on top of the apply cache. Recorded per workload and as
-    /// `geomean_seminaive_speedup` in `BENCH_eval.json`; the CI gate
-    /// fails if the geomean drops below 1.
-    pub fn seminaive_speedup(&self) -> f64 {
-        self.memoised.as_secs_f64() / self.seminaive.as_secs_f64().max(1e-12)
+    /// How many times faster the serving mode is than the exact
+    /// interned path (interned / serve) — the win of the apply cache,
+    /// semi-naive iteration and the fused rules together. Recorded per
+    /// workload and as `geomean_serve_speedup` in `BENCH_eval.json`;
+    /// the CI gate fails if the geomean drops below 1.
+    pub fn serve_speedup(&self) -> f64 {
+        self.interned.as_secs_f64() / self.serve.as_secs_f64().max(1e-12)
     }
 
     /// How many times faster the rewrite-optimised query runs than the
-    /// raw query on the **same semi-naive rung** (seminaive / optimised)
+    /// raw query on the **same serving rung** (serve / optimised)
     /// — the win of the `nra-opt` pass in isolation, with every other
     /// switch held fixed. ≈ 1 on workloads no rescue touches;
     /// large on the powerset-route rows the TC rescue rewrites into
@@ -209,16 +199,16 @@ impl EvalComparison {
     /// `geomean_optimised_speedup` in `BENCH_eval.json`; the CI gate
     /// fails if the geomean drops below 1.
     pub fn optimised_speedup(&self) -> f64 {
-        self.seminaive.as_secs_f64() / self.optimised.as_secs_f64().max(1e-12)
+        self.serve.as_secs_f64() / self.optimised.as_secs_f64().max(1e-12)
     }
 
     /// How many times faster a warm session re-evaluation is than the
-    /// best cold run (seminaive / warm) — the cross-query warm-start
+    /// cold serving run (serve / warm) — the cross-query warm-start
     /// win. Recorded per workload and as `geomean_warm_speedup` in
     /// `BENCH_eval.json`; the CI gate fails if the geomean drops
     /// below 1.
     pub fn warm_speedup(&self) -> f64 {
-        self.seminaive.as_secs_f64() / self.warm.as_secs_f64().max(1e-12)
+        self.serve.as_secs_f64() / self.warm.as_secs_f64().max(1e-12)
     }
 
     /// How many times faster the 4-worker batch evaluates its job list
@@ -388,10 +378,10 @@ fn interleaved_medians<const K: usize>(
     })
 }
 
-/// Time the tree-walking, interned, memoised and semi-naive eager
-/// evaluators — plus the semi-naive evaluator on the rewrite-optimised
-/// query — on one workload (asserting along the way that all five
-/// produce the same result) and return the comparison.
+/// Time the tree-walking, interned (exact) and serving-mode eager
+/// evaluators — plus the serving mode on the rewrite-optimised query —
+/// on one workload (asserting along the way that all four produce the
+/// same result), then the session rungs, and return the comparison.
 pub fn compare_eval(
     workload: &str,
     n: u64,
@@ -400,37 +390,29 @@ pub fn compare_eval(
     samples: usize,
 ) -> EvalComparison {
     let cfg = EvalConfig::default();
-    let memo_cfg = EvalConfig::memoised();
-    let semi_cfg = EvalConfig::optimised();
+    let serve_cfg = EvalConfig::serve();
     let tree_out = evaluate_tree(query, input, &cfg).result.expect("tree eval");
     let interned_out = evaluate(query, input, &cfg).result.expect("interned eval");
     assert_eq!(tree_out, interned_out, "paths disagree on {workload} n={n}");
-    let memo_out = evaluate(query, input, &memo_cfg)
+    let serve_out = evaluate(query, input, &serve_cfg)
         .result
-        .expect("memoised eval");
+        .expect("serve-mode eval");
     assert_eq!(
-        interned_out, memo_out,
-        "memoised path disagrees on {workload} n={n}"
-    );
-    let semi_out = evaluate(query, input, &semi_cfg)
-        .result
-        .expect("semi-naive eval");
-    assert_eq!(
-        interned_out, semi_out,
-        "semi-naive path disagrees on {workload} n={n}"
+        interned_out, serve_out,
+        "serve mode disagrees on {workload} n={n}"
     );
     // the rewrite runs once up front — sessions cache the pass per
     // root, so steady state times the optimised query, not the
     // rewrite itself
     let opt_query = nra_opt::optimise_expr(query);
-    let optimised_out = evaluate(&opt_query, input, &semi_cfg)
+    let optimised_out = evaluate(&opt_query, input, &serve_cfg)
         .result
         .expect("optimised eval");
     assert_eq!(
         interned_out, optimised_out,
         "rewrite-optimised query disagrees on {workload} n={n}"
     );
-    let [tree, interned, memoised, seminaive, optimised] = interleaved_medians(
+    let [tree, interned, serve, optimised] = interleaved_medians(
         samples,
         &mut [
             &mut || {
@@ -440,19 +422,16 @@ pub fn compare_eval(
                 std::hint::black_box(evaluate(query, input, &cfg));
             },
             &mut || {
-                std::hint::black_box(evaluate(query, input, &memo_cfg));
+                std::hint::black_box(evaluate(query, input, &serve_cfg));
             },
             &mut || {
-                std::hint::black_box(evaluate(query, input, &semi_cfg));
-            },
-            &mut || {
-                std::hint::black_box(evaluate(&opt_query, input, &semi_cfg));
+                std::hint::black_box(evaluate(&opt_query, input, &serve_cfg));
             },
         ],
     );
     // warm: re-evaluation through a session whose apply cache survived
     // the seeding call — the whole judgment is served from the cache
-    let mut warm_session = EvalSession::new(EvalConfig::optimised());
+    let mut warm_session = EvalSession::new(EvalConfig::serve());
     warm_session
         .eval(query, input)
         .result
@@ -470,7 +449,7 @@ pub fn compare_eval(
     let batch_samples = samples.max(5);
     let mut cold_parents: Vec<_> = (0..batch_samples + 1) // +1: median_time's warm-up run
         .map(|_| {
-            let mut parent = EvalSession::new(EvalConfig::optimised());
+            let mut parent = EvalSession::new(EvalConfig::serve());
             let qe = parent.intern_expr(query);
             let iv = parent.intern_value(input);
             (parent, vec![(qe, iv); BATCH_JOBS])
@@ -483,14 +462,14 @@ pub fn compare_eval(
     });
     let batch_seq = median_time(batch_samples, || {
         for _ in 0..BATCH_JOBS {
-            let mut cold = EvalSession::new(EvalConfig::optimised());
+            let mut cold = EvalSession::new(EvalConfig::serve());
             std::hint::black_box(cold.eval(query, input));
         }
     });
     // shared-warm: the steady serving state — one parent stays on the
     // shared store, a seeding batch fills the shared apply table, and
     // every subsequent batch re-serves its jobs from it
-    let mut shared_parent = EvalSession::new(EvalConfig::optimised());
+    let mut shared_parent = EvalSession::new(EvalConfig::serve());
     let qe = shared_parent.intern_expr(query);
     let iv = shared_parent.intern_value(input);
     let shared_jobs = vec![(qe, iv); BATCH_JOBS];
@@ -503,8 +482,7 @@ pub fn compare_eval(
         n,
         tree,
         interned,
-        memoised,
-        seminaive,
+        serve,
         optimised,
         warm,
         batch,
@@ -513,7 +491,7 @@ pub fn compare_eval(
     }
 }
 
-/// The canonical tree-vs-interned-vs-memoised workload set feeding
+/// The canonical evaluator-rung workload set feeding
 /// `BENCH_eval.json` — the chain and DAG families of the differential
 /// suite through the `while` route, the powerset route on a small chain,
 /// the grid/clique/random-sparse families added with the apply cache,
@@ -658,21 +636,19 @@ pub fn write_bench_eval_json_to(
     out.push_str("  \"unit\": \"ns\",\n  \"workloads\": [\n");
     for (i, c) in comparisons.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"n\": {}, \"tree_ns\": {}, \"interned_ns\": {}, \"memo_ns\": {}, \"seminaive_ns\": {}, \"optimised_ns\": {}, \"warm_ns\": {}, \"batch_ns\": {}, \"batch_seq_ns\": {}, \"shared_warm_ns\": {}, \"speedup\": {:.3}, \"memo_speedup\": {:.3}, \"seminaive_speedup\": {:.3}, \"optimised_speedup\": {:.3}, \"warm_speedup\": {:.3}, \"batch_speedup\": {:.3}, \"shared_warm_speedup\": {:.3}}}{}\n",
+            "    {{\"workload\": \"{}\", \"n\": {}, \"tree_ns\": {}, \"interned_ns\": {}, \"serve_ns\": {}, \"optimised_ns\": {}, \"warm_ns\": {}, \"batch_ns\": {}, \"batch_seq_ns\": {}, \"shared_warm_ns\": {}, \"speedup\": {:.3}, \"serve_speedup\": {:.3}, \"optimised_speedup\": {:.3}, \"warm_speedup\": {:.3}, \"batch_speedup\": {:.3}, \"shared_warm_speedup\": {:.3}}}{}\n",
             c.workload,
             c.n,
             c.tree.as_nanos(),
             c.interned.as_nanos(),
-            c.memoised.as_nanos(),
-            c.seminaive.as_nanos(),
+            c.serve.as_nanos(),
             c.optimised.as_nanos(),
             c.warm.as_nanos(),
             c.batch.as_nanos(),
             c.batch_seq.as_nanos(),
             c.shared_warm.as_nanos(),
             c.speedup(),
-            c.memo_speedup(),
-            c.seminaive_speedup(),
+            c.serve_speedup(),
             c.optimised_speedup(),
             c.warm_speedup(),
             c.batch_speedup(),
@@ -688,45 +664,10 @@ pub fn write_bench_eval_json_to(
             .map(EvalComparison::speedup)
             .fold(f64::INFINITY, f64::min)
     };
-    let geomean = (comparisons.iter().map(|c| c.speedup().ln()).sum::<f64>()
-        / comparisons.len().max(1) as f64)
-        .exp();
-    let geomean_memo = (comparisons
-        .iter()
-        .map(|c| c.memo_speedup().ln())
-        .sum::<f64>()
-        / comparisons.len().max(1) as f64)
-        .exp();
-    let geomean_seminaive = (comparisons
-        .iter()
-        .map(|c| c.seminaive_speedup().ln())
-        .sum::<f64>()
-        / comparisons.len().max(1) as f64)
-        .exp();
-    let geomean_optimised = (comparisons
-        .iter()
-        .map(|c| c.optimised_speedup().ln())
-        .sum::<f64>()
-        / comparisons.len().max(1) as f64)
-        .exp();
-    let geomean_warm = (comparisons
-        .iter()
-        .map(|c| c.warm_speedup().ln())
-        .sum::<f64>()
-        / comparisons.len().max(1) as f64)
-        .exp();
-    let geomean_batch = (comparisons
-        .iter()
-        .map(|c| c.batch_speedup().ln())
-        .sum::<f64>()
-        / comparisons.len().max(1) as f64)
-        .exp();
-    let geomean_shared_warm = (comparisons
-        .iter()
-        .map(|c| c.shared_warm_speedup().ln())
-        .sum::<f64>()
-        / comparisons.len().max(1) as f64)
-        .exp();
+    let geomean = |speedup: fn(&EvalComparison) -> f64| {
+        (comparisons.iter().map(|c| speedup(c).ln()).sum::<f64>() / comparisons.len().max(1) as f64)
+            .exp()
+    };
     out.push_str("  ],\n");
     // the dense-vs-sorted closure table lives in its own array: its
     // rows time `tc_arena`'s two representation routes, not the
@@ -756,30 +697,27 @@ pub fn write_bench_eval_json_to(
         "  \"batch_jobs\": {BATCH_JOBS},\n  \"batch_workers\": {BATCH_WORKERS},\n"
     ));
     out.push_str(&format!("  \"min_speedup\": {:.3},\n", min));
-    out.push_str(&format!("  \"geomean_speedup\": {:.3},\n", geomean));
-    out.push_str(&format!(
-        "  \"geomean_memo_speedup\": {:.3},\n",
-        geomean_memo
-    ));
-    out.push_str(&format!(
-        "  \"geomean_seminaive_speedup\": {:.3},\n",
-        geomean_seminaive
-    ));
-    out.push_str(&format!(
-        "  \"geomean_optimised_speedup\": {:.3},\n",
-        geomean_optimised
-    ));
-    out.push_str(&format!(
-        "  \"geomean_warm_speedup\": {:.3},\n",
-        geomean_warm
-    ));
-    out.push_str(&format!(
-        "  \"geomean_shared_warm_speedup\": {:.3},\n",
-        geomean_shared_warm
-    ));
+    for (key, speedup) in [
+        (
+            "geomean_speedup",
+            EvalComparison::speedup as fn(&EvalComparison) -> f64,
+        ),
+        ("geomean_serve_speedup", EvalComparison::serve_speedup),
+        (
+            "geomean_optimised_speedup",
+            EvalComparison::optimised_speedup,
+        ),
+        ("geomean_warm_speedup", EvalComparison::warm_speedup),
+        (
+            "geomean_shared_warm_speedup",
+            EvalComparison::shared_warm_speedup,
+        ),
+    ] {
+        out.push_str(&format!("  \"{key}\": {:.3},\n", geomean(speedup)));
+    }
     out.push_str(&format!(
         "  \"geomean_batch_speedup\": {:.3}\n}}\n",
-        geomean_batch
+        geomean(EvalComparison::batch_speedup)
     ));
     let mut file = std::fs::File::create(&path)?;
     file.write_all(out.as_bytes())?;
@@ -851,16 +789,14 @@ mod tests {
         assert_eq!(c.workload, "chain/tc_while");
         assert!(c.tree > Duration::ZERO);
         assert!(c.interned > Duration::ZERO);
-        assert!(c.memoised > Duration::ZERO);
-        assert!(c.seminaive > Duration::ZERO);
+        assert!(c.serve > Duration::ZERO);
         assert!(c.optimised > Duration::ZERO);
         assert!(c.warm > Duration::ZERO);
         assert!(c.batch > Duration::ZERO);
         assert!(c.batch_seq > Duration::ZERO);
         assert!(c.shared_warm > Duration::ZERO);
         assert!(c.speedup() > 0.0);
-        assert!(c.memo_speedup() > 0.0);
-        assert!(c.seminaive_speedup() > 0.0);
+        assert!(c.serve_speedup() > 0.0);
         assert!(c.optimised_speedup() > 0.0);
         assert!(c.warm_speedup() > 0.0);
         assert!(c.batch_speedup() > 0.0);
@@ -875,8 +811,7 @@ mod tests {
                 n: 8,
                 tree: Duration::from_micros(400),
                 interned: Duration::from_micros(100),
-                memoised: Duration::from_micros(50),
-                seminaive: Duration::from_micros(25),
+                serve: Duration::from_micros(25),
                 optimised: Duration::from_micros(20),
                 warm: Duration::from_micros(5),
                 batch: Duration::from_micros(100),
@@ -888,8 +823,7 @@ mod tests {
                 n: 8,
                 tree: Duration::from_micros(300),
                 interned: Duration::from_micros(150),
-                memoised: Duration::from_micros(75),
-                seminaive: Duration::from_micros(25),
+                serve: Duration::from_micros(25),
                 optimised: Duration::from_nanos(12_500),
                 warm: Duration::from_micros(5),
                 batch: Duration::from_micros(100),
@@ -927,11 +861,10 @@ mod tests {
         assert!(text.contains("\"workload\": \"chain/tc_while\""));
         assert!(text.contains("\"samples\": 2"));
         assert!(text.contains("\"speedup\": 4.000"));
-        assert!(text.contains("\"memo_ns\": 50000"));
-        assert!(text.contains("\"memo_speedup\": 2.000"));
-        assert!(text.contains("\"seminaive_ns\": 25000"));
-        assert!(text.contains("\"seminaive_speedup\": 2.000"));
-        assert!(text.contains("\"seminaive_speedup\": 3.000"));
+        assert!(text.contains("\"serve_ns\": 25000"));
+        assert!(text.contains("\"serve_speedup\": 4.000"));
+        assert!(text.contains("\"serve_speedup\": 6.000"));
+        assert!(!text.contains("memo"));
         assert!(text.contains("\"optimised_ns\": 20000"));
         assert!(text.contains("\"optimised_speedup\": 1.250"));
         assert!(text.contains("\"optimised_ns\": 12500"));
@@ -957,8 +890,7 @@ mod tests {
         assert!(text.contains("\"batch_jobs\": 12"));
         assert!(text.contains("\"batch_workers\": 4"));
         assert!(text.contains("\"min_speedup\": 2.000"));
-        assert!(text.contains("\"geomean_memo_speedup\": 2.000"));
-        assert!(text.contains("\"geomean_seminaive_speedup\": 2.449"));
+        assert!(text.contains("\"geomean_serve_speedup\": 4.899"));
         assert!(text.contains("\"geomean_optimised_speedup\": 1.581"));
         assert!(text.contains("\"geomean_warm_speedup\": 5.000"));
         assert!(text.contains("\"geomean_shared_warm_speedup\": 2.828"));

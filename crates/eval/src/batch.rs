@@ -12,11 +12,11 @@
 //!    re-intern merge pass; every worker interns into the single
 //!    canonical store, so a handle issued by any of them is valid in
 //!    all of them (and in the parent);
-//! 2. workers claim the queries their **assignment** names (round-robin
-//!    for [`eval_batch`]; scheduling layers pass an explicit partition
-//!    to [`eval_batch_assigned`], e.g. grouping jobs that share
-//!    hash-consed subtrees onto one worker) and evaluate them on
-//!    handles directly; because the apply table is shared, a judgment
+//! 2. workers claim the queries their **assignment** names — the
+//!    round-robin [`partition`], which [`eval_batch`] and the serving
+//!    front both use, or any explicit assignment passed to
+//!    [`eval_batch_assigned`] — and evaluate them on handles directly;
+//!    because the apply table is shared, a judgment
 //!    derived by one worker is an `O(1)` warm hit for every other
 //!    worker (and for later queries of the parent) — one worker's
 //!    derivation is the whole batch's warm start;
@@ -30,15 +30,18 @@
 //!
 //! Evaluation is pure, so correctness never depends on the partition;
 //! the partition only decides the interleaving of cache fills, and the
-//! shared apply table makes even that immaterial for warmth.
+//! shared apply table makes even that immaterial for warmth. That is
+//! why placement is plain round-robin: any placement gets the same
+//! warm hits.
 //!
 //! **Small batches never pay for threads.** Spawning a scoped worker
 //! costs on the order of 100µs, which dominates a sub-millisecond
 //! batch — the `dag/tc_while n=8` workload used to *lose* 8% against
-//! sequential evaluation. [`eval_batch`] therefore estimates the batch
+//! sequential evaluation. [`partition`] therefore estimates the batch
 //! cost up front ([`estimated_batch_cost`], an `O(1)`-per-job metadata
-//! read) and runs batches under [`SMALL_BATCH_COST`] inline on the
-//! calling thread, still through a single split worker session — so
+//! read) and gives a batch under [`SMALL_BATCH_COST`] a single part,
+//! which [`eval_batch_assigned`] runs inline on the calling thread,
+//! still through a single split worker session — so
 //! the store migration, panic containment, statistics and budget
 //! accounting are identical on both paths, and the results stay
 //! bit-for-bit the same (a regression test pins both sides of the
@@ -63,7 +66,7 @@
 //! use nra_core::{queries, Value};
 //! use nra_eval::{batch::eval_batch, EvalConfig, EvalSession};
 //!
-//! let mut session = EvalSession::new(EvalConfig::optimised());
+//! let mut session = EvalSession::new(EvalConfig::serve());
 //! let q = session.intern_expr(&queries::tc_while());
 //! let jobs: Vec<_> = (3..7u64)
 //!     .map(|n| (q, session.values_mut().chain(n)))
@@ -117,19 +120,18 @@ impl From<(EId, VId)> for BatchJob {
     }
 }
 
-/// A crude, `O(1)`-per-job cost proxy for batch scheduling:
+/// A crude, `O(1)`-per-job cost proxy for batch placement:
 /// `Σ ops(query) · size(input)²` over the jobs — the square reflecting
 /// that the relational workloads are dominated by their self-products.
-/// Both factors are interned metadata reads. Scheduling layers use it
-/// to pick worker counts and balance partitions; [`eval_batch`] uses it
-/// to decide the sequential fallback.
+/// Both factors are interned metadata reads. [`partition`] uses it to
+/// decide the inline fallback.
 pub fn estimated_batch_cost(session: &EvalSession, queries: &[(EId, VId)]) -> u64 {
     queries
         .iter()
         .map(|&(eid, input)| {
             // a stale/fabricated handle costs 0 here and panics inside
             // the per-job guard instead (WorkerPanicked), not in the
-            // scheduler
+            // placement
             if eid.index() >= session.exprs().node_count()
                 || input.index() >= session.values().len()
             {
@@ -141,30 +143,32 @@ pub fn estimated_batch_cost(session: &EvalSession, queries: &[(EId, VId)]) -> u6
         .fold(0u64, u64::saturating_add)
 }
 
-/// The worker count [`eval_batch`] actually uses for this batch — the
-/// scheduling decision itself, exposed so callers (and the regression
-/// tests) can check the small-batch floor without timing anything: the
-/// requested count clamped to `1..=queries.len()`, then floored to a
-/// single inline worker when [`estimated_batch_cost`] falls under
-/// [`SMALL_BATCH_COST`] (sub-millisecond batches lose more to thread
-/// spawns than they gain from parallelism — the `batch_speedup: 0.168`
-/// regression on chain n=8). Returns 0 for an empty batch.
-pub fn effective_workers(session: &EvalSession, queries: &[(EId, VId)], workers: usize) -> usize {
-    if queries.is_empty() {
-        return 0;
+/// Place `jobs` on workers: the assignment [`eval_batch_assigned`]
+/// consumes, one non-empty index list per worker, every job index
+/// exactly once. A batch whose [`estimated_batch_cost`] falls under
+/// [`SMALL_BATCH_COST`] gets a single part, which runs inline
+/// (sub-millisecond batches lose more to thread spawns than they gain
+/// from parallelism — the `batch_speedup: 0.168` regression on chain
+/// n=8). Otherwise the jobs are dealt round-robin over `workers`
+/// parts, clamped to `1..=jobs.len()`. An empty batch gets no parts.
+pub fn partition(session: &EvalSession, jobs: &[(EId, VId)], workers: usize) -> Vec<Vec<usize>> {
+    if jobs.is_empty() {
+        return Vec::new();
     }
-    if estimated_batch_cost(session, queries) < SMALL_BATCH_COST {
+    let workers = if estimated_batch_cost(session, jobs) < SMALL_BATCH_COST {
         1
     } else {
-        workers.clamp(1, queries.len())
-    }
+        workers.clamp(1, jobs.len())
+    };
+    (0..workers)
+        .map(|w| (w..jobs.len()).step_by(workers).collect())
+        .collect()
 }
 
-/// Evaluate `queries` (handles into `session`) across `workers` scoped
-/// worker threads over the session's shared store, returning one
+/// Evaluate `queries` (handles into `session`) across up to `workers`
+/// scoped worker threads over the session's shared store, returning one
 /// [`VidEvaluation`] per query, in input order, with result handles
-/// valid in `session`. The worker count is [`effective_workers`]:
-/// clamped to `1..=queries.len()`, and a batch under
+/// valid in `session`. The placement is [`partition`]: a batch under
 /// [`SMALL_BATCH_COST`] runs on one inline worker (results are
 /// partition-independent by construction, so the fallback is invisible
 /// except in wall-clock time). The session stays on the shared store
@@ -175,30 +179,19 @@ pub fn eval_batch(
     queries: &[(EId, VId)],
     workers: usize,
 ) -> Vec<VidEvaluation> {
-    if queries.is_empty() {
-        return Vec::new();
-    }
-    let workers = effective_workers(session, queries, workers);
-    let assignment: Vec<Vec<usize>> = (0..workers)
-        .map(|w| (w..queries.len()).step_by(workers).collect())
-        .collect();
+    let assignment = partition(session, queries, workers);
     let jobs: Vec<BatchJob> = queries.iter().copied().map(BatchJob::from).collect();
     eval_batch_assigned(session, &jobs, &assignment)
 }
 
-/// The scheduling hook under [`eval_batch`]: evaluate `jobs` under an
-/// **explicit partition** — `assignment[w]` lists the job indices worker
-/// `w` evaluates, and every job index must be assigned exactly once.
-/// A single-worker assignment runs inline on the calling thread (no
-/// spawn); anything else fans out on scoped threads. Results come back
-/// in job order either way, with the same statistics folding, panic
-/// containment and parent-budget enforcement as [`eval_batch`] — which
-/// is this function with a round-robin assignment.
-///
-/// Serving layers use the explicit partition for **cache-aware
-/// placement**: jobs sharing hash-consed subtrees grouped onto the same
-/// worker derive their common judgments once and hit the shared apply
-/// table for the rest.
+/// Evaluate `jobs` under an **explicit assignment** — `assignment[w]`
+/// lists the job indices worker `w` evaluates, and every job index must
+/// be assigned exactly once. Empty entries are skipped: an assignment
+/// with one non-empty entry runs inline on the calling thread (no
+/// spawn), and anything else fans its non-empty entries out on scoped
+/// threads. Results come back in job order either way, with the same
+/// statistics folding, panic containment and parent-budget enforcement
+/// as [`eval_batch`] — which is this function over [`partition`].
 pub fn eval_batch_assigned(
     session: &mut EvalSession,
     jobs: &[BatchJob],
@@ -219,20 +212,25 @@ pub fn eval_batch_assigned(
         "assignment must name every job index exactly once"
     );
 
-    let mut worker_sessions = session.split(assignment.len().max(1));
+    let parts: Vec<&[usize]> = assignment
+        .iter()
+        .map(Vec::as_slice)
+        .filter(|part| !part.is_empty())
+        .collect();
+    let mut worker_sessions = session.split(parts.len().max(1));
     let mut gathered: Vec<Option<VidEvaluation>> = (0..jobs.len()).map(|_| None).collect();
-    if assignment.len() <= 1 {
+    if parts.len() <= 1 {
         // inline fallback: same worker-session semantics, no spawn
         let worker = &mut worker_sessions[0];
-        for &i in assignment.first().map(Vec::as_slice).unwrap_or(&[]) {
+        for &i in parts.first().copied().unwrap_or(&[]) {
             gathered[i] = Some(run_job(worker, jobs[i]));
         }
     } else {
         std::thread::scope(|scope| {
             let handles: Vec<_> = worker_sessions
                 .into_iter()
-                .zip(assignment)
-                .map(|(mut worker, mine)| {
+                .zip(&parts)
+                .map(|(mut worker, &mine)| {
                     scope.spawn(move || {
                         mine.iter()
                             .map(|&i| (i, run_job(&mut worker, jobs[i])))
@@ -240,7 +238,7 @@ pub fn eval_batch_assigned(
                     })
                 })
                 .collect();
-            for (w, handle) in handles.into_iter().enumerate() {
+            for (handle, &mine) in handles.into_iter().zip(&parts) {
                 match handle.join() {
                     Ok(list) => {
                         for (i, ev) in list {
@@ -251,7 +249,7 @@ pub fn eval_batch_assigned(
                     // happen): fail that worker's share, keep the rest
                     Err(payload) => {
                         let detail = panic_detail(&payload);
-                        for &i in &assignment[w] {
+                        for &i in mine {
                             gathered[i].get_or_insert_with(|| VidEvaluation {
                                 result: Err(EvalError::WorkerPanicked {
                                     detail: detail.clone(),
@@ -326,7 +324,7 @@ mod tests {
 
     #[test]
     fn batch_matches_sequential_session_evaluation() {
-        for config in [EvalConfig::default(), EvalConfig::optimised()] {
+        for config in [EvalConfig::default(), EvalConfig::serve()] {
             let mut session = EvalSession::new(config.clone());
             let q_while = session.intern_expr(&queries::tc_while());
             let q_step = session.intern_expr(&queries::tc_step());
@@ -388,7 +386,7 @@ mod tests {
     fn batch_shares_one_store_and_one_apply_table() {
         // after a batch the parent is on the shared store, and the
         // judgments the workers derived are warm for the parent
-        let mut session = EvalSession::new(EvalConfig::optimised());
+        let mut session = EvalSession::new(EvalConfig::serve());
         let q = session.intern_expr(&queries::tc_while());
         let jobs: Vec<(EId, VId)> = (4..8u64)
             .map(|n| (q, session.values_mut().chain(n)))
@@ -420,7 +418,7 @@ mod tests {
     /// batch boundary.
     #[test]
     fn batch_respects_the_parent_resident_budget() {
-        let mut session = EvalSession::with_resident_budget(EvalConfig::optimised(), 1);
+        let mut session = EvalSession::with_resident_budget(EvalConfig::serve(), 1);
         let q = session.intern_expr(&queries::tc_while());
         let jobs: Vec<(EId, VId)> = (2..6u64)
             .map(|n| (q, session.values_mut().chain(n)))
@@ -446,7 +444,7 @@ mod tests {
     /// their results.
     #[test]
     fn one_panicking_job_does_not_poison_the_batch() {
-        let mut session = EvalSession::new(EvalConfig::optimised());
+        let mut session = EvalSession::new(EvalConfig::serve());
         let q = session.intern_expr(&queries::tc_while());
         let good: Vec<(EId, VId)> = (2..6u64)
             .map(|n| (q, session.values_mut().chain(n)))
@@ -480,7 +478,7 @@ mod tests {
     /// path too — same guard, no thread to die on.
     #[test]
     fn panicking_job_is_contained_on_the_inline_path() {
-        let mut session = EvalSession::new(EvalConfig::optimised());
+        let mut session = EvalSession::new(EvalConfig::serve());
         let q = session.intern_expr(&queries::tc_while());
         let good = session.values_mut().chain(3);
         let jobs = [(q, good), (q, VId::from_index(usize::from(u16::MAX) << 8))];
@@ -502,7 +500,7 @@ mod tests {
     /// explicit assignments.
     #[test]
     fn small_batch_fallback_is_bit_for_bit() {
-        let mut session = EvalSession::new(EvalConfig::optimised());
+        let mut session = EvalSession::new(EvalConfig::serve());
         let q = session.intern_expr(&queries::tc_while());
         let small: Vec<(EId, VId)> = (0..12)
             .map(|_| (q, session.values_mut().chain(8)))
@@ -558,26 +556,91 @@ mod tests {
         }
     }
 
-    /// The scheduling decision itself, unit-tested without timing: the
-    /// bench's 12-job batch shapes land on one inline worker at chain
-    /// n=8 (the `batch_speedup: 0.168` regression shape) and fan out to
-    /// the requested four at chain n=12; the clamp and the empty batch
-    /// behave.
-    #[test]
-    fn effective_workers_floors_small_batches() {
-        let mut session = EvalSession::new(EvalConfig::optimised());
+    /// The bench's 12-job `tc_while` batch on `chain(len)`, plus its
+    /// session.
+    fn tc_while_batch(len: u64) -> (EvalSession, Vec<(EId, VId)>) {
+        let mut session = EvalSession::new(EvalConfig::serve());
         let q = session.intern_expr(&queries::tc_while());
-        let small: Vec<(EId, VId)> = (0..12)
-            .map(|_| (q, session.values_mut().chain(8)))
+        let jobs = (0..12)
+            .map(|_| (q, session.values_mut().chain(len)))
             .collect();
-        assert_eq!(effective_workers(&session, &small, 4), 1);
-        let big: Vec<(EId, VId)> = (0..12)
-            .map(|_| (q, session.values_mut().chain(12)))
-            .collect();
-        assert_eq!(effective_workers(&session, &big, 4), 4);
-        // the clamp still applies above the floor
-        assert_eq!(effective_workers(&session, &big, 20), 12);
-        assert_eq!(effective_workers(&session, &[], 4), 0);
+        (session, jobs)
+    }
+
+    /// Above the small-batch floor, the jobs are dealt over the
+    /// requested workers: every part has work and every job lands
+    /// exactly once.
+    #[test]
+    fn every_job_is_assigned_exactly_once() {
+        let (session, jobs) = tc_while_batch(12);
+        let assignment = partition(&session, &jobs, 2);
+        assert_eq!(assignment.len(), 2, "{assignment:?}");
+        assert!(assignment.iter().all(|part| !part.is_empty()));
+        let mut seen: Vec<usize> = assignment.iter().flatten().copied().collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..jobs.len()).collect::<Vec<_>>());
+    }
+
+    /// The same batch shape on chain n=8 (the `batch_speedup: 0.168`
+    /// regression shape) falls under [`SMALL_BATCH_COST`]: one part,
+    /// run inline.
+    #[test]
+    fn small_batches_collapse_to_one_inline_partition() {
+        let (session, jobs) = tc_while_batch(8);
+        assert!(estimated_batch_cost(&session, &jobs) < SMALL_BATCH_COST);
+        assert_eq!(
+            partition(&session, &jobs, 4),
+            vec![(0..jobs.len()).collect::<Vec<_>>()]
+        );
+    }
+
+    /// More workers than jobs clamps to one job per part, and an empty
+    /// batch gets no parts.
+    #[test]
+    fn partition_clamps_workers_to_the_job_count() {
+        let (session, jobs) = tc_while_batch(12);
+        let assignment = partition(&session, &jobs, 20);
+        assert_eq!(assignment.len(), jobs.len());
+        assert!(assignment.iter().all(|part| part.len() == 1));
+        assert!(partition(&session, &[], 4).is_empty());
+    }
+
+    /// The partition drives `eval_batch_assigned` across threads with
+    /// results bit-for-bit those of a sequential session.
+    #[test]
+    fn partitions_feed_eval_batch_assigned_bit_for_bit() {
+        let mut parallel = EvalSession::new(EvalConfig::serve());
+        let mut sequential = EvalSession::new(EvalConfig::serve());
+        let queries_zoo = [
+            queries::tc_while(),
+            queries::tc_step(),
+            queries::compose_rel(),
+        ];
+        let mut jobs = Vec::new();
+        let mut seq_jobs = Vec::new();
+        for (k, q) in queries_zoo.iter().enumerate() {
+            let qp = parallel.intern_expr(q);
+            let qs = sequential.intern_expr(q);
+            for n in 10..14u64 {
+                let vp = parallel.values_mut().chain(n + k as u64);
+                let vs = sequential.values_mut().chain(n + k as u64);
+                jobs.push((qp, vp));
+                seq_jobs.push((qs, vs));
+            }
+        }
+        let assignment = partition(&parallel, &jobs, 3);
+        assert_eq!(assignment.len(), 3, "the zoo batch must fan out");
+        let batch: Vec<BatchJob> = jobs.iter().copied().map(BatchJob::from).collect();
+        let evals = eval_batch_assigned(&mut parallel, &batch, &assignment);
+        for (i, ev) in evals.iter().enumerate() {
+            let (qs, vs) = seq_jobs[i];
+            let expect = sequential.eval_vid(qs, vs);
+            assert_eq!(
+                parallel.resolve(*ev.result.as_ref().unwrap()),
+                sequential.resolve(*expect.result.as_ref().unwrap()),
+                "job {i}"
+            );
+        }
     }
 
     /// The explicit-assignment hook honours arbitrary partitions (here:
@@ -586,7 +649,7 @@ mod tests {
     /// own `SpaceBudgetExceeded`, not a panic.
     #[test]
     fn assigned_partitions_and_declared_budgets() {
-        let mut session = EvalSession::new(EvalConfig::optimised());
+        let mut session = EvalSession::new(EvalConfig::serve());
         let q = session.intern_expr(&queries::tc_while());
         let jobs: Vec<BatchJob> = (4..8u64)
             .map(|n| BatchJob {

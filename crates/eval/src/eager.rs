@@ -25,25 +25,26 @@
 //! can report the exact space requirement of runs that would never fit in
 //! memory.
 //!
-//! Two opt-in cost-model switches run on the interned-expression walker
-//! (`eval_eid`), never changing a result:
+//! [`Mode::Serve`] runs on the interned-expression walker (`eval_eid`)
+//! and changes the cost, never a result:
 //!
-//! * [`EvalConfig::memo`] — the BDD-style apply cache `(EId, VId) →
-//!   VId` (`MemoCache`), with each slot carrying the subtree's
-//!   as-if-uncached cost so hits charge the node budget exactly;
-//! * [`EvalConfig::semi_naive`] — delta-driven iteration: `while`
-//!   threads `(total, delta)`, `map`/`μ` evaluate frontier-only against
-//!   the `DeltaEntry` cache, and the hash-consed Prop 2.1 shapes —
-//!   cartesian product (`eval_cartprod_fused`), selection
-//!   (`eval_select_fused`), projection equality and tupling
-//!   (`eval_projeq_fused`, `eval_projpair_fused`), and the equi-join
-//!   `σ_p ∘ ×` whose predicate compares a key of each side
-//!   (`eval_join_fused`: matching pairs only, never `r × r`) — run fused
-//!   delta rules. The §3 counters only ever shrink (every skipped object
-//!   already occurred, and was observed, earlier in the evaluation);
-//!   the default mode remains the exact §3 measure.
+//! * the BDD-style apply cache `(EId, VId) → VId` (`MemoCache`), with
+//!   each slot carrying the subtree's as-if-uncached cost so hits
+//!   charge the node budget exactly;
+//! * delta-driven iteration: `while` threads `(total, delta)`,
+//!   `map`/`μ` evaluate frontier-only against the `DeltaEntry` cache,
+//!   and the hash-consed Prop 2.1 shapes — cartesian product
+//!   (`eval_cartprod_fused`), selection (`eval_select_fused`),
+//!   projection equality and tupling (`eval_projeq_fused`,
+//!   `eval_projpair_fused`), and the equi-join `σ_p ∘ ×` whose
+//!   predicate compares a key of each side (`eval_join_fused`: matching
+//!   pairs only, never `r × r`) — run fused delta rules.
+//!
+//! The §3 counters only ever shrink (every skipped object already
+//! occurred, and was observed, earlier in the evaluation); the default
+//! [`Mode::Exact`] remains the exact §3 measure.
 
-use crate::error::{EvalConfig, EvalError};
+use crate::error::{EvalConfig, EvalError, Mode};
 use crate::shapes::{self, ProjPath, ShapeCaches};
 use crate::stats::EvalStats;
 use nra_core::expr::intern::{self as expr_intern, EId, ENode, ExprArena};
@@ -232,8 +233,8 @@ pub fn evaluate_vid(expr: &Expr, input: VId, config: &EvalConfig) -> VidEvaluati
     // cumulative per-arena counters: the delta across the call is what
     // this evaluation spent on the word-parallel dense path
     let (dense_ops0, dense_promotions0) = intern::with_arena(|va| va.dense_counters());
-    let result = if config.memo || config.semi_naive {
-        // the cached routes walk the interned expression, so the
+    let result = if config.mode == Mode::Serve {
+        // the serving mode walks the interned expression, so the
         // (EId, VId) pair is available as the apply-cache key — and the
         // EId as the delta-cache key — at every recursion step. The
         // facade borrows both thread-local arenas once, for the whole
@@ -808,8 +809,8 @@ struct DeltaEntry {
 type DeltaMap = HashMap<EId, DeltaEntry, FxBuildHasher>;
 
 /// The mutable cache state one cached evaluation threads through
-/// [`eval_eid`]: the apply cache (active under [`EvalConfig::memo`])
-/// and the delta cache (active under [`EvalConfig::semi_naive`]).
+/// [`eval_eid`]: the apply cache and the delta cache (both active in
+/// [`Mode::Serve`]).
 /// Split from the expression-node snapshot so the walker can read
 /// structure through a shared borrow while mutating the caches.
 pub(crate) struct Caches {
@@ -877,7 +878,7 @@ fn delta_probe(
     Some((e.output, e.cost, fresh))
 }
 
-/// Everything one cached (memoised and/or semi-naive) evaluation needs:
+/// Everything one [`Mode::Serve`] evaluation needs:
 /// the synced expression-node snapshot (read through a shared borrow)
 /// and the apply + delta caches (read through a mutable one) — split
 /// fields so [`eval_eid`] can hold both at once. Pooled thread-locally
@@ -1036,20 +1037,19 @@ impl MemoState {
 /// The cached §3 rule set over the *interned* expression: identical
 /// semantics to [`eval_vid`] (the differential harnesses hold the two
 /// bit-for-bit equal), but every recursion step carries an [`EId`],
-/// which keys both caches:
+/// which keys both caches. In [`Mode::Serve`]:
 ///
-/// * under [`EvalConfig::memo`], each judgment `f(C) ⇓ C'` is first
-///   looked up in the apply cache `(EId, VId) → VId` and recorded there
-///   after a miss — a hit returns the cached handle in `O(1)` without
-///   re-deriving, which collapses the repeated body applications inside
-///   `while`, `map` over recurring elements, and `powersetₘ` chains;
-/// * under [`EvalConfig::semi_naive`], the pointwise set rules (`map`,
-///   `μ`) consult the delta cache: when their input grew from the
-///   previous application of the same node — the steady state of every
-///   rule inside an inflationary `while` body — the body runs on the
-///   frontier only and the previous output is folded in by a sorted
-///   merge, and the `while` rule itself threads the `(total, delta)`
-///   pair, recording each iterate's frontier in
+/// * each judgment `f(C) ⇓ C'` is first looked up in the apply cache
+///   `(EId, VId) → VId` and recorded there after a miss — a hit returns
+///   the cached handle in `O(1)` without re-deriving, which collapses
+///   the repeated body applications inside `while`, `map` over
+///   recurring elements, and `powersetₘ` chains;
+/// * the pointwise set rules (`map`, `μ`) consult the delta cache: when
+///   their input grew from the previous application of the same node —
+///   the steady state of every rule inside an inflationary `while` body
+///   — the body runs on the frontier only and the previous output is
+///   folded in by a sorted merge, and the `while` rule itself threads
+///   the `(total, delta)` pair, recording each iterate's frontier in
 ///   [`EvalStats::while_frontiers`].
 ///
 /// Hits and skips are counted in [`EvalStats::memo_hits`] /
@@ -1065,9 +1065,9 @@ pub(crate) fn eval_eid(
     caches: &mut Caches,
     va: &mut ValueArena,
 ) -> Result<VId, EvalError> {
-    let memo = ctx.config.memo;
+    let serve = ctx.config.mode == Mode::Serve;
     let key = MemoCache::key(eid, input);
-    if memo {
+    if serve {
         if let Some((out, cost, warm)) = caches.memo.probe(key) {
             ctx.stats.memo_hits += 1;
             if warm {
@@ -1077,8 +1077,6 @@ pub(crate) fn eval_eid(
             return Ok(out);
         }
         ctx.stats.memo_misses += 1;
-    }
-    if ctx.config.semi_naive {
         // the fused-rule hooks; every stored slot carries the cost the
         // fused application actually charged (one node for the pure
         // projection rules; node + folded frontier + fresh predicate
@@ -1133,11 +1131,9 @@ pub(crate) fn eval_eid(
             None
         };
         if let Some(output) = fused {
-            if memo {
-                caches
-                    .memo
-                    .store(key, output, ctx.charged_nodes - fused_start);
-            }
+            caches
+                .memo
+                .store(key, output, ctx.charged_nodes - fused_start);
             return Ok(output);
         }
     }
@@ -1145,7 +1141,7 @@ pub(crate) fn eval_eid(
     let node = &nodes[eid.index()];
     ctx.node(node.head_index())?;
     let output = match node {
-        ENode::Leaf(leaf) if ctx.config.semi_naive && **leaf == Expr::Flatten => {
+        ENode::Leaf(leaf) if serve && **leaf == Expr::Flatten => {
             eval_flatten_delta(eid, input, ctx, caches, va)?
         }
         ENode::Leaf(leaf) => eval_leaf_rule(leaf, input, ctx, va)?,
@@ -1193,7 +1189,7 @@ pub(crate) fn eval_eid(
             output
         }
     };
-    if memo {
+    if serve {
         caches
             .memo
             .store(key, output, ctx.charged_nodes - cost_start);
@@ -1204,10 +1200,10 @@ pub(crate) fn eval_eid(
 /// Thread the `(total, delta)` pair of one semi-naive `while` iterate:
 /// record the frontier cardinality `|next ∖ current|` in
 /// [`EvalStats::while_frontiers`] — a count-only merge scan, nothing is
-/// interned. No-op in the default mode and on non-set iterates. Shared
+/// interned. No-op in [`Mode::Exact`] and on non-set iterates. Shared
 /// with the traced builder.
 pub(crate) fn record_frontier(ctx: &mut Ctx, va: &ValueArena, current: VId, next: VId) {
-    if ctx.config.semi_naive {
+    if ctx.config.mode == Mode::Serve {
         if let Some(card) = va.set_delta_cardinality(current, next) {
             ctx.stats.while_frontiers.push(card);
         }
@@ -1231,7 +1227,7 @@ fn eval_map_eid(
     let items = va
         .as_set(input)
         .ok_or_else(|| stuck("map", "input is not a set"))?;
-    if ctx.config.semi_naive {
+    if ctx.config.mode == Mode::Serve {
         if let Some((prev_out, prev_cost, fresh)) = delta_probe(eid, input, &caches.delta, va) {
             let fresh_items = va.as_set(fresh).expect("frontier is a set");
             ctx.stats.delta_hits += 1;
@@ -1264,7 +1260,7 @@ fn eval_map_eid(
         out.push(eval_eid(f, item, ctx, nodes, caches, va)?);
     }
     let output = va.set_from_vec(out);
-    if ctx.config.semi_naive {
+    if ctx.config.mode == Mode::Serve {
         let cost = ctx.charged_nodes - cost_start;
         caches.delta.insert(
             eid,
@@ -2627,7 +2623,7 @@ mod tests {
     #[test]
     fn memoised_path_agrees_with_unmemoised_on_the_corpus() {
         let cfg = EvalConfig::default();
-        let memo_cfg = EvalConfig::memoised();
+        let serve_cfg = EvalConfig::serve();
         let corpus: Vec<(Expr, Value)> = vec![
             (nra_core::queries::tc_paths(), Value::chain(5)),
             (nra_core::queries::tc_while(), Value::chain(6)),
@@ -2639,23 +2635,23 @@ mod tests {
         ];
         for (q, input) in &corpus {
             let plain = evaluate(q, input, &cfg);
-            let memoised = evaluate(q, input, &memo_cfg);
+            let served = evaluate(q, input, &serve_cfg);
             assert_eq!(
                 plain.result.as_ref().unwrap(),
-                memoised.result.as_ref().unwrap(),
+                served.result.as_ref().unwrap(),
                 "{q}"
             );
             // hits are reported separately, never inflating the §3 counters
-            assert!(memoised.stats.nodes <= plain.stats.nodes, "{q}");
-            assert_eq!(
-                memoised.stats.max_object_size, plain.stats.max_object_size,
+            assert!(served.stats.nodes <= plain.stats.nodes, "{q}");
+            assert!(
+                served.stats.max_object_size <= plain.stats.max_object_size,
                 "{q}"
             );
             assert_eq!(plain.stats.memo_hits + plain.stats.memo_misses, 0, "{q}");
         }
-        // the while route re-applies its body to largely-shared sets: the
-        // cache must actually fire there
-        let ev = evaluate(&nra_core::queries::tc_while(), &Value::chain(6), &memo_cfg);
+        // the powerset route re-derives judgments shared across subsets:
+        // the cache must actually fire there
+        let ev = evaluate(&nra_core::queries::tc_paths(), &Value::chain(5), &serve_cfg);
         assert!(ev.stats.memo_hits > 0);
         assert!(ev.stats.memo_hit_rate() > 0.0 && ev.stats.memo_hit_rate() < 1.0);
     }

@@ -10,7 +10,45 @@
 
 use std::fmt;
 
-/// Resource limits for one evaluation.
+/// The evaluator's two modes. The mode changes what an evaluation
+/// costs and what its statistics count — never its result: both
+/// differential harnesses hold `Serve` to `Exact` bit for bit.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Mode {
+    /// The paper's §3 measurement mode: every rule application is one
+    /// derivation node and every object it touches is observed, so
+    /// `nodes` and `max_object_size` are the exact eager measure. No
+    /// caching, no fusion.
+    #[default]
+    Exact,
+    /// The serving mode, everything that measures as a win:
+    ///
+    /// * the **apply cache**, a memo table `(EId, VId) → VId` keyed on
+    ///   the interned expression and input — a hit returns the cached
+    ///   handle in `O(1)` and is counted in
+    ///   [`EvalStats::memo_hits`](crate::stats::EvalStats::memo_hits)
+    ///   *instead of* re-counting the skipped sub-derivation;
+    /// * **semi-naive (delta-driven) iteration**: `while` threads a
+    ///   `(total, delta)` pair through its iterates, and the pointwise
+    ///   set rules — `map` and `μ` (flatten) — evaluate only on the
+    ///   frontier, folding new facts into the previous result via the
+    ///   arena's one-pass merge algebra
+    ///   ([`set_merge_delta`](nra_core::value::intern::ValueArena::set_merge_delta),
+    ///   [`set_merge_frontier`](nra_core::value::intern::ValueArena::set_merge_frontier));
+    ///   skipped work is reported in
+    ///   [`EvalStats::delta_skipped`](crate::stats::EvalStats::delta_skipped);
+    /// * the **fused rules** for the hash-consed Prop 2.1 shapes,
+    ///   including the keyed equi-join `σ_{b=c} ∘ (r × r)`, which never
+    ///   builds `r × r`.
+    ///
+    /// `while_iterations` stays exact, and the §3 counters only ever
+    /// shrink. Cache hits and delta skips still *charge* their recorded
+    /// as-if-uncached cost against [`EvalConfig::max_nodes`], so budget
+    /// exhaustion is mode-independent.
+    Serve,
+}
+
+/// Resource limits and the evaluator mode for one evaluation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalConfig {
     /// Abort as soon as any object in the derivation tree would exceed
@@ -21,46 +59,8 @@ pub struct EvalConfig {
     /// Iteration cap for the `while` extension (it is a genuine fixpoint
     /// loop, so divergence must be cut off).
     pub max_while_iters: u64,
-    /// Enable the eager evaluator's **apply cache**: a memo table
-    /// `(EId, VId) → VId` keyed on the interned expression and input.
-    /// A hit returns the cached result handle in `O(1)` instead of
-    /// re-running the §3 derivation — results are bit-for-bit identical
-    /// to unmemoised evaluation, but the reported statistics are not
-    /// the exact §3 accounting: a hit is counted in
-    /// [`EvalStats::memo_hits`](crate::stats::EvalStats::memo_hits)
-    /// *instead of* re-counting the skipped sub-derivation's nodes and
-    /// observations. (A hit still *charges* the recorded cost of its
-    /// cached subtree against [`EvalConfig::max_nodes`], so budget
-    /// exhaustion is strategy-independent.) Keep this off (the default)
-    /// when the statistics must be the exact eager measure.
-    pub memo: bool,
-    /// Enable **semi-naive (delta-driven) iteration**: `while` threads a
-    /// `(total, delta)` pair through its iterates, and the pointwise set
-    /// rules — `map` and `μ` (flatten) — evaluate only on the frontier
-    /// (the elements their input gained since the same rule last fired),
-    /// folding new facts into the previous result via the arena's
-    /// one-pass merge algebra
-    /// ([`set_merge_delta`](nra_core::value::intern::ValueArena::set_merge_delta),
-    /// [`set_merge_frontier`](nra_core::value::intern::ValueArena::set_merge_frontier)).
-    /// Because `map` and `μ` distribute over union element-by-element,
-    /// the results are **bit-for-bit** the naive-iteration results for
-    /// *every* body (both differential harnesses enforce this), and
-    /// `while_iterations` stays exact; like a memo hit, a skipped
-    /// sub-derivation is reported in
-    /// [`EvalStats::delta_skipped`](crate::stats::EvalStats::delta_skipped)
-    /// instead of inflating the §3 counters, while still charging its
-    /// recorded cost against [`EvalConfig::max_nodes`].
-    pub semi_naive: bool,
-    /// Route every session query through the **rewrite pass** installed
-    /// with [`EvalSession::set_rewriter`](crate::EvalSession::set_rewriter)
-    /// before evaluation. The evaluator itself carries no rules — the
-    /// pass is an injected [`RewritePass`](crate::RewritePass) closure
-    /// (the `nra-opt` crate provides the real one), so the dependency
-    /// arrow stays `opt → eval`. With the flag on but no pass installed
-    /// the hook is the identity. Rewritten roots key the apply cache on
-    /// the *optimised* `EId`, so warm re-evaluations of the same query
-    /// hit the rewritten DAG's entries.
-    pub optimise: bool,
+    /// [`Mode::Exact`] (the default) or [`Mode::Serve`].
+    pub mode: Mode,
 }
 
 impl Default for EvalConfig {
@@ -69,9 +69,7 @@ impl Default for EvalConfig {
             max_object_size: None,
             max_nodes: None,
             max_while_iters: 100_000,
-            memo: false,
-            semi_naive: false,
-            optimise: false,
+            mode: Mode::Exact,
         }
     }
 }
@@ -85,65 +83,33 @@ impl EvalConfig {
         }
     }
 
-    /// An unbudgeted config with the apply cache enabled — see
-    /// [`EvalConfig::memo`].
-    pub fn memoised() -> Self {
-        EvalConfig {
-            memo: true,
-            ..EvalConfig::default()
-        }
-    }
-
-    /// An unbudgeted config with semi-naive (delta-driven) `while`
-    /// iteration enabled — see [`EvalConfig::semi_naive`]. Results are
-    /// bit-for-bit the naive-iteration results; only the cost changes.
+    /// An unbudgeted config in [`Mode::Serve`]. Results are bit-for-bit
+    /// the exact-mode results; only the cost changes. A session
+    /// additionally rewrites its queries once a
+    /// [`RewritePass`](crate::RewritePass) is installed
+    /// (`nra_opt::install`).
     ///
     /// ```
     /// use nra_core::{queries, Value};
     /// use nra_eval::{evaluate, EvalConfig};
     ///
     /// let input = Value::chain(6);
-    /// let naive = evaluate(&queries::tc_while(), &input, &EvalConfig::default());
-    /// let delta = evaluate(&queries::tc_while(), &input, &EvalConfig::semi_naive());
+    /// let exact = evaluate(&queries::tc_while(), &input, &EvalConfig::default());
+    /// let serve = evaluate(&queries::tc_while(), &input, &EvalConfig::serve());
     /// // same closure, same fixpoint trajectory…
-    /// assert_eq!(naive.result.unwrap(), delta.result.unwrap());
-    /// assert_eq!(naive.stats.while_iterations, delta.stats.while_iterations);
+    /// assert_eq!(exact.result.unwrap(), serve.result.unwrap());
+    /// assert_eq!(exact.stats.while_iterations, serve.stats.while_iterations);
     /// // …but the body ran on the frontier only: elements already mapped
     /// // in earlier iterates were folded in, not re-derived, so the §3
     /// // counters only ever shrink
-    /// assert!(delta.stats.delta_skipped > 0);
-    /// assert!(delta.stats.nodes < naive.stats.nodes);
-    /// assert!(delta.stats.max_object_size <= naive.stats.max_object_size);
+    /// assert!(serve.stats.delta_skipped > 0);
+    /// assert!(serve.stats.nodes < exact.stats.nodes);
+    /// assert!(serve.stats.max_object_size <= exact.stats.max_object_size);
     /// ```
-    pub fn semi_naive() -> Self {
+    pub fn serve() -> Self {
         EvalConfig {
-            semi_naive: true,
+            mode: Mode::Serve,
             ..EvalConfig::default()
-        }
-    }
-
-    /// Everything on: the apply cache **and** semi-naive iteration —
-    /// the configuration the benchmarks call "seminaive" (the delta
-    /// rules skip whole repeated frontiers; the apply cache catches the
-    /// repeats the delta rules cannot see).
-    pub fn optimised() -> Self {
-        EvalConfig {
-            memo: true,
-            semi_naive: true,
-            ..EvalConfig::default()
-        }
-    }
-
-    /// [`EvalConfig::optimised`] with the pre-evaluation **rewrite pass**
-    /// switched on ([`EvalConfig::optimise`]) — the full stack the
-    /// serving front runs: the rescue rewrite, apply cache, semi-naive
-    /// iteration. The pass only runs once a
-    /// [`RewritePass`](crate::RewritePass) has been installed on the
-    /// session (`nra_opt::install` does both).
-    pub fn rewritten() -> Self {
-        EvalConfig {
-            optimise: true,
-            ..EvalConfig::optimised()
         }
     }
 }

@@ -27,13 +27,12 @@
 //! polynomial-resident-space property this strategy exists to
 //! demonstrate. Only the base set and the (live) images touch the arena.
 //!
-//! Two opt-in switches trade that minimality for speed, without ever
-//! changing a result: [`EvalConfig::memo`] extends the eager/traced
-//! **apply cache** to the per-subset evaluations (subsets are then
-//! interned and keyed `(EId, VId)` against one cache shared across the
-//! stream, so subtrees recurring across subsets are derived once — hits
-//! in [`LazyStats::memo_hits`]), and [`EvalConfig::semi_naive`] runs
-//! `while` fixpoints over powerset-free bodies on the delta-driven
+//! [`Mode::Serve`] trades that minimality for speed, without ever
+//! changing a result: it extends the eager/traced **apply cache** to
+//! the per-subset evaluations (subsets are then interned and keyed
+//! `(EId, VId)` against one cache shared across the stream, so subtrees
+//! recurring across subsets are derived once — hits in
+//! [`LazyStats::memo_hits`]), and it runs `while` fixpoints over powerset-free bodies on the delta-driven
 //! interned walker — and, for `powersetₘ` (or `powerset`) **chains inside
 //! a fixpoint**, resumes the subset stream incrementally: when the same
 //! `map` body re-fires over the subsets of a *grown* base (the steady
@@ -43,7 +42,7 @@
 //! [`LazyStats::frontier_subsets_skipped`]).
 
 use crate::eager::{self, binomial, Ctx, MemoState};
-use crate::error::{EvalConfig, EvalError};
+use crate::error::{EvalConfig, EvalError, Mode};
 use crate::stats::EvalStats;
 use nra_core::expr::intern::{self as expr_intern, EId, ExprArena};
 use nra_core::expr::Expr;
@@ -67,8 +66,7 @@ pub struct LazyStats {
     /// `while` iterations.
     pub while_iterations: u64,
     /// Apply-cache hits across the per-subset sub-evaluations (only
-    /// nonzero under
-    /// [`EvalConfig::memo`](crate::error::EvalConfig::memo), which
+    /// nonzero in [`Mode::Serve`], which
     /// extends the eager/traced `(EId, VId)` apply cache to the
     /// streaming strategy): a streamed `map`-over-`powerset` whose
     /// subsets share sub-structure stops re-deriving the shared
@@ -76,7 +74,7 @@ pub struct LazyStats {
     /// cached subsets are interned, so the arena retains them.
     pub memo_hits: u64,
     /// Apply-cache misses across the per-subset sub-evaluations (only
-    /// nonzero under `EvalConfig::memo`).
+    /// nonzero in `Mode::Serve`).
     pub memo_misses: u64,
     /// The subset of `memo_hits` served by entries written by an
     /// earlier query of the same session (cross-query warm starts) —
@@ -84,8 +82,7 @@ pub struct LazyStats {
     /// [`EvalStats::warm_hits`](crate::stats::EvalStats::warm_hits).
     pub warm_hits: u64,
     /// `map`-over-subsets applications served **incrementally** (only
-    /// nonzero under
-    /// [`EvalConfig::semi_naive`](crate::error::EvalConfig::semi_naive)):
+    /// nonzero in [`Mode::Serve`]):
     /// the same body re-fired over the subsets of a grown base — the
     /// steady state of a `powersetₘ` chain inside a `while` — so only
     /// subsets touching the frontier were streamed and the previous
@@ -101,7 +98,7 @@ pub struct LazyStats {
 
 impl LazyStats {
     /// Apply-cache hit rate `hits / (hits + misses)`, or 0 when the
-    /// cache never ran (memo off).
+    /// cache never ran (exact mode).
     pub fn memo_hit_rate(&self) -> f64 {
         let total = self.memo_hits + self.memo_misses;
         if total == 0 {
@@ -163,8 +160,8 @@ struct LazyCtx<'a> {
     /// The expression arena (the cached routes intern bodies mid-stream).
     ea: &'a mut ExprArena,
     /// The shared interned-walker state (expression-node snapshot +
-    /// apply/delta caches), present when [`EvalConfig::memo`] or
-    /// [`EvalConfig::semi_naive`] is on: per-subset sub-evaluations and
+    /// apply/delta caches), present in [`Mode::Serve`]: per-subset
+    /// sub-evaluations and
     /// delegated `while` fixpoints all run through [`eager::eval_eid`]
     /// against the same caches.
     state: Option<&'a mut MemoState>,
@@ -273,24 +270,22 @@ pub fn evaluate_lazy(expr: &Expr, input: &Value, config: &EvalConfig) -> LazyEva
 /// (the calling thread's arenas — the compatibility facade over the
 /// engine-layer `lazy_eval_with` entry point sessions use).
 ///
-/// Under [`EvalConfig::memo`] the eager/traced **apply cache** extends
-/// to this strategy: per-subset sub-evaluations run on the interned
+/// In [`Mode::Serve`] the eager/traced **apply cache** extends to this
+/// strategy: per-subset sub-evaluations run on the interned
 /// walker, keyed `(EId, VId)` against one cache shared across the whole
 /// evaluation, so streamed `map`-over-`powerset` stops re-deriving the
 /// subtrees its subsets share (hits in [`LazyStats::memo_hits`]). The
 /// price is that streamed subsets are then *interned* — the arena
 /// retains one set node per distinct subset — trading the strategy's
-/// minimal-retention property for speed; keep memo off (the default)
-/// when measuring the §3 space story. Under [`EvalConfig::semi_naive`],
-/// `while` fixpoints over powerset-free bodies additionally run
+/// minimal-retention property for speed; keep [`Mode::Exact`] (the
+/// default) when measuring the §3 space story. `while` fixpoints over powerset-free bodies additionally run
 /// delta-driven, exactly as in [`eager::evaluate_vid`], and subset
 /// streams inside powerset-carrying fixpoints resume incrementally from
 /// their previous base (the same retention trade-off applies).
 pub fn evaluate_lazy_vid(expr: &Expr, input: VId, config: &EvalConfig) -> LazyVidEvaluation {
     intern::with_arena(|va| {
         expr_intern::with_arena(|ea| {
-            let mut state =
-                (config.memo || config.semi_naive).then(|| MemoState::acquire_pooled(ea));
+            let mut state = (config.mode == Mode::Serve).then(|| MemoState::acquire_pooled(ea));
             let ev = lazy_eval_with(expr, input, config, va, ea, state.as_mut());
             if let Some(state) = state {
                 state.release_pooled();
@@ -473,7 +468,7 @@ fn lazy_in(expr: &Expr, input: Lv, ctx: &mut LazyCtx) -> Result<Lv, EvalError> {
                 // The lazy context threads (total, delta) through the
                 // fixpoint by delegating it wholesale to the interned
                 // walker: a powerset-free body never streams, so the
-                // delta-driven (and/or memoised) eager rules compute the
+                // delta-driven, memoised eager rules compute the
                 // bit-identical trajectory with frontier-only work.
                 let weid = ctx.intern_expr(expr);
                 return Ok(Lv::Concrete(ctx.eager_sub_eid(weid, current, 0)?));
@@ -522,29 +517,26 @@ fn stream_map(f: &Expr, base: VId, bound: Option<u64>, ctx: &mut LazyCtx) -> Res
     let mut acc: BTreeSet<VId> = BTreeSet::new();
     let mut acc_size: u64 = 1;
     if ctx.state.is_some() {
-        // The sharing-aware route (EvalConfig::memo and/or semi_naive):
-        // each subset is interned and evaluated through the shared
-        // interned walker — under memo, keyed (EId, VId) in the apply
+        // The sharing-aware route (Mode::Serve): each subset is
+        // interned and evaluated through the shared interned walker —
+        // keyed (EId, VId) in the apply
         // cache shared across the whole stream, so sub-derivations
         // recurring across subsets are found instead of re-derived. This
         // deliberately retains the streamed subsets in the arena — see
         // `evaluate_lazy_vid`.
         let feid = ctx.intern_expr(f);
-        // Frontier resumption (EvalConfig::semi_naive): when this body
+        // Frontier resumption: when this body
         // last streamed over a base' ⊆ base with the same bound — the
         // steady state of a powersetₘ chain inside a while — seed the
         // accumulator with the previous images and stream only the
         // subsets containing at least one fresh element. map distributes
         // over the subset stream subset-by-subset, so the folded result
         // is bit-for-bit the full re-stream's.
-        let previous = if ctx.config.semi_naive {
-            ctx.subset_delta
-                .get(&feid)
-                .filter(|entry| entry.bound == bound)
-                .map(|entry| (entry.base, entry.output))
-        } else {
-            None
-        };
+        let previous = ctx
+            .subset_delta
+            .get(&feid)
+            .filter(|entry| entry.bound == bound)
+            .map(|entry| (entry.base, entry.output));
         let resumed = previous.and_then(|(prev_base, prev_out)| {
             if prev_base == base {
                 return Some((prev_out, Vec::new(), items.to_vec()));
@@ -597,16 +589,14 @@ fn stream_map(f: &Expr, base: VId, bound: Option<u64>, ctx: &mut LazyCtx) -> Res
             }
         }
         let output = ctx.va.set(acc);
-        if ctx.config.semi_naive {
-            ctx.subset_delta.insert(
-                feid,
-                SubsetDeltaEntry {
-                    base,
-                    bound,
-                    output,
-                },
-            );
-        }
+        ctx.subset_delta.insert(
+            feid,
+            SubsetDeltaEntry {
+                base,
+                bound,
+                output,
+            },
+        );
         Ok(Lv::Concrete(output))
     } else {
         // The default route: subsets are deliberately built as

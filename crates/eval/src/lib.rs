@@ -42,37 +42,35 @@
 //! differential baseline the interned path is tested and benchmarked
 //! against.
 //!
-//! On top of value interning, [`EvalConfig::memo`] switches the eager
-//! (and traced) strategy onto the **apply cache**: expressions are
-//! hash-consed too ([`nra_core::expr::intern`]), and each judgment
-//! `f(C) ⇓ C'` is keyed `(EId, VId) → VId` in a BDD-style direct-mapped
-//! table, so a judgment already derived returns its cached handle in
-//! `O(1)` — which collapses the repeated body applications inside
-//! `while` iterates and `map` over recurring elements. The same cache
-//! extends to the lazy strategy's per-subset evaluations. Results are
-//! bit-for-bit identical to memo-off evaluation (both differential
-//! harnesses enforce this); cache activity is reported separately in
-//! [`EvalStats::memo_hits`]/`memo_misses` rather than inflating the §3
-//! counters, which stay exact in the default memo-off mode — though a
-//! hit does charge the recorded cost of its cached subtree against the
-//! node budget, so budget exhaustion is strategy-independent.
+//! The evaluator has two modes ([`Mode`], the `mode` field of
+//! [`EvalConfig`]). [`Mode::Exact`], the default, is the paper's §3
+//! measurement: every rule application is a derivation node and every
+//! object is observed. [`Mode::Serve`] ([`EvalConfig::serve`]) turns on
+//! everything that measures as a win, on the interned-expression walker
+//! ([`nra_core::expr::intern`]):
 //!
-//! Orthogonally, [`EvalConfig::semi_naive`] turns on **semi-naive
-//! (delta-driven) iteration**: `while` threads a `(total, delta)` pair
-//! through its iterates, the pointwise set rules (`map`, `μ`) evaluate
-//! only on the frontier their input gained since they last fired, and
-//! recognisable Prop 2.1 derived shapes (cartesian product, selection,
-//! projection chains) run fused delta rules instead of re-deriving
-//! their combinator spreads. Results and the fixpoint trajectory are
-//! bit-for-bit the naive ones; the §3 counters only ever shrink, with
-//! skipped work reported in [`EvalStats::delta_hits`]/`delta_skipped`
-//! and the per-iterate frontier trace in
-//! [`EvalStats::while_frontiers`]. [`EvalConfig::optimised`] combines
-//! both switches — the configuration the benchmarks call "seminaive" —
-//! and the memo + semi-naive interpreter it selects
-//! ([`eager::evaluate_vid`], [`EvalSession::eval_vid`]) is the one eager
-//! engine. [`EvalConfig::rewritten`] adds the pre-evaluation rewrite
-//! pass ([`EvalConfig::optimise`]) on top: the serving default.
+//! * the **apply cache** — each judgment `f(C) ⇓ C'` is keyed
+//!   `(EId, VId) → VId` in a BDD-style direct-mapped table, so a
+//!   judgment already derived returns its cached handle in `O(1)`; the
+//!   same cache extends to the lazy strategy's per-subset evaluations;
+//! * **semi-naive (delta-driven) iteration** — `while` threads a
+//!   `(total, delta)` pair through its iterates, and the pointwise set
+//!   rules (`map`, `μ`) evaluate only on the frontier their input gained
+//!   since they last fired;
+//! * **fused rules** for the recognisable Prop 2.1 derived shapes
+//!   (cartesian product, selection, projection chains, and the keyed
+//!   equi-join that never builds `r × r`).
+//!
+//! Results and the fixpoint trajectory are bit-for-bit the exact ones
+//! (both differential harnesses enforce this). The §3 counters only ever
+//! shrink, with skipped work reported in [`EvalStats::memo_hits`],
+//! [`EvalStats::delta_hits`]/`delta_skipped` and the per-iterate
+//! frontier trace in [`EvalStats::while_frontiers`] — though a hit or a
+//! skip does charge its recorded as-if-uncached cost against the node
+//! budget, so budget exhaustion is mode-independent. A session also
+//! rewrites each query before evaluating it once a [`RewritePass`] is
+//! installed ([`EvalSession::set_rewriter`]); the serving front installs
+//! `nra-opt`'s rescue pass.
 //!
 //! Budgets ([`error::EvalConfig`]) turn the theorems' "needs ≥ S space"
 //! into clean errors carrying the exact requirement — for `powerset` the
@@ -90,11 +88,9 @@ mod shapes;
 pub mod stats;
 pub mod trace;
 
-pub use batch::{
-    effective_workers, estimated_batch_cost, eval_batch, eval_batch_assigned, BatchJob,
-};
+pub use batch::{estimated_batch_cost, eval_batch, eval_batch_assigned, partition, BatchJob};
 pub use eager::{eval, evaluate, evaluate_tree, evaluate_vid, Evaluation, VidEvaluation};
-pub use error::{EvalConfig, EvalError};
+pub use error::{EvalConfig, EvalError, Mode};
 pub use lazy::{evaluate_lazy, evaluate_lazy_vid, LazyEvaluation, LazyStats, LazyVidEvaluation};
 pub use session::{EvalSession, RewritePass, SessionStats};
 pub use stats::EvalStats;

@@ -41,7 +41,7 @@
 //! use nra_core::{queries, Value};
 //! use nra_eval::{EvalConfig, EvalSession};
 //!
-//! let mut session = EvalSession::new(EvalConfig::optimised());
+//! let mut session = EvalSession::new(EvalConfig::serve());
 //! let input = Value::chain(6);
 //! let cold = session.eval(&queries::tc_while(), &input);
 //! let warm = session.eval(&queries::tc_while(), &input);
@@ -52,7 +52,7 @@
 //! ```
 
 use crate::eager::{self, Ctx, Evaluation, MemoState, VidEvaluation};
-use crate::error::EvalConfig;
+use crate::error::{EvalConfig, Mode};
 use crate::lazy::{self, LazyEvaluation};
 use crate::trace::{self, TracedEvaluation};
 use nra_core::expr::intern::{EId, ExprArena};
@@ -99,8 +99,7 @@ pub struct EvalSession {
     resident_budget: Option<usize>,
     generation: u64,
     /// The injected rewrite pass, when one is installed — see
-    /// [`RewritePass`]. Only consulted when [`EvalConfig::optimise`] is
-    /// set.
+    /// [`RewritePass`].
     rewriter: Option<RewritePass>,
     /// Memoised `root → rewritten root` per generation (cleared on
     /// eviction along with the arenas whose handles it holds).
@@ -109,9 +108,9 @@ pub struct EvalSession {
 
 impl EvalSession {
     /// A fresh session evaluating under `config`. For warm starts across
-    /// queries, use a config with the apply cache on
-    /// ([`EvalConfig::memoised`] or [`EvalConfig::optimised`]); the
-    /// arenas warm-start regardless.
+    /// queries, use [`EvalConfig::serve`] (the apply cache lives in
+    /// [`Mode::Serve`]); the arenas warm-start
+    /// regardless.
     pub fn new(config: EvalConfig) -> Self {
         let mut exprs = ExprArena::new();
         let memo = MemoState::new(&mut exprs);
@@ -202,25 +201,20 @@ impl EvalSession {
 
     /// Install (or remove) the pre-evaluation rewrite pass — see
     /// [`RewritePass`]. The pass runs at [`EvalSession::eval`] /
-    /// [`EvalSession::eval_vid`] boundaries when
-    /// [`EvalConfig::optimise`] is set; worker sessions produced by
-    /// [`EvalSession::split`] inherit it. Installing a pass clears the
-    /// per-root rewrite memo.
+    /// [`EvalSession::eval_vid`] boundaries whenever one is installed;
+    /// worker sessions produced by [`EvalSession::split`] inherit it.
+    /// Installing a pass clears the per-root rewrite memo.
     pub fn set_rewriter(&mut self, pass: Option<RewritePass>) {
         self.rewriter = pass;
         self.rewrites.clear();
     }
 
     /// The root actually evaluated for `eid`: the rewrite pass's output
-    /// when [`EvalConfig::optimise`] is on and a pass is installed, `eid`
-    /// itself otherwise. Memoised per root within a generation, so the
+    /// when a pass is installed, `eid` itself otherwise. Memoised per root within a generation, so the
     /// pass runs once per distinct query — warm re-evaluations pay one
     /// hash lookup. The returned handle is what the apply cache is keyed
     /// on.
     pub fn optimise_eid(&mut self, eid: EId) -> EId {
-        if !self.config.optimise {
-            return eid;
-        }
         let Some(pass) = self.rewriter.clone() else {
             return eid;
         };
@@ -377,7 +371,7 @@ impl EvalSession {
     /// across calls exactly as for [`EvalSession::eval`].
     pub fn eval_lazy(&mut self, expr: &Expr, input: &Value) -> LazyEvaluation {
         let iv = self.values.intern(input);
-        let state = if self.config.memo || self.config.semi_naive {
+        let state = if self.config.mode == Mode::Serve {
             self.memo.begin_query(&mut self.exprs, true);
             Some(&mut self.memo)
         } else {
@@ -472,12 +466,7 @@ mod tests {
 
     #[test]
     fn session_agrees_with_the_facade() {
-        for config in [
-            EvalConfig::default(),
-            EvalConfig::memoised(),
-            EvalConfig::semi_naive(),
-            EvalConfig::optimised(),
-        ] {
+        for config in [EvalConfig::default(), EvalConfig::serve()] {
             let mut session = EvalSession::new(config.clone());
             for n in 0..6u64 {
                 let input = Value::chain(n);
@@ -496,7 +485,7 @@ mod tests {
 
     #[test]
     fn warm_start_hits_on_reevaluation() {
-        let mut session = EvalSession::new(EvalConfig::optimised());
+        let mut session = EvalSession::new(EvalConfig::serve());
         let input = Value::chain(8);
         let cold = session.eval(&queries::tc_while(), &input);
         assert_eq!(cold.stats.warm_hits, 0, "first query cannot be warm");
@@ -512,7 +501,7 @@ mod tests {
     fn facade_never_reports_warm_hits() {
         let input = Value::chain(6);
         for _ in 0..3 {
-            let ev = crate::evaluate(&queries::tc_while(), &input, &EvalConfig::optimised());
+            let ev = crate::evaluate(&queries::tc_while(), &input, &EvalConfig::serve());
             assert_eq!(ev.stats.warm_hits, 0);
         }
     }
@@ -520,7 +509,7 @@ mod tests {
     #[test]
     fn eviction_resets_generation_and_counters() {
         // a budget of one byte forces an eviction after every query
-        let mut session = EvalSession::with_resident_budget(EvalConfig::optimised(), 1);
+        let mut session = EvalSession::with_resident_budget(EvalConfig::serve(), 1);
         let input = Value::chain(5);
         let first = session.eval(&queries::tc_while(), &input);
         assert_eq!(session.generation(), 1);
@@ -533,7 +522,7 @@ mod tests {
 
     #[test]
     fn lazy_and_trace_run_on_the_session() {
-        let mut session = EvalSession::new(EvalConfig::optimised());
+        let mut session = EvalSession::new(EvalConfig::serve());
         let input = Value::chain(5);
         let lazy = session.eval_lazy(&queries::tc_paths(), &input);
         assert_eq!(lazy.result.unwrap(), Value::chain_tc(5));

@@ -38,14 +38,14 @@ pub struct EvalStats {
     pub rule_counts: BTreeMap<&'static str, u64>,
     /// Iterations performed by `while` sub-evaluations.
     pub while_iterations: u64,
-    /// Apply-cache hits (only nonzero under
-    /// [`EvalConfig::memo`](crate::error::EvalConfig::memo)). Hits are
+    /// Apply-cache hits (only nonzero in
+    /// [`Mode::Serve`](crate::error::Mode::Serve)). Hits are
     /// reported *separately* rather than inflating the §3 counters: a
     /// hit contributes nothing to `nodes`, `total_size`, or
     /// `max_object_size` — the skipped sub-derivation was never built.
     pub memo_hits: u64,
     /// Apply-cache misses — evaluations that ran the derivation and
-    /// populated the cache. Only nonzero under `EvalConfig::memo`.
+    /// populated the cache. Only nonzero in `Mode::Serve`.
     pub memo_misses: u64,
     /// The subset of `memo_hits` served by entries written by an
     /// **earlier query of the same session** (cross-query warm starts).
@@ -55,8 +55,8 @@ pub struct EvalStats {
     /// seen by previous queries land here.
     pub warm_hits: u64,
     /// Number of `map`/`μ` applications served incrementally by the
-    /// semi-naive delta rules (only nonzero under
-    /// [`EvalConfig::semi_naive`](crate::error::EvalConfig::semi_naive)):
+    /// semi-naive delta rules (only nonzero in
+    /// [`Mode::Serve`](crate::error::Mode::Serve)):
     /// the rule's input was a superset of its previous input, so the
     /// body ran on the frontier only and the previous result was folded
     /// in by a sorted merge.
@@ -72,7 +72,7 @@ pub struct EvalStats {
     /// Frontier cardinality per `while` iteration — `|cₖ₊₁ ∖ cₖ|` for
     /// each iterate, in order (the `(total, delta)` pair the semi-naive
     /// `while` rule threads; the final entry is 0, the fixpoint test).
-    /// Recorded only under `EvalConfig::semi_naive`, and only for
+    /// Recorded only in `Mode::Serve`, and only for
     /// set-valued iterates.
     pub while_frontiers: Vec<u64>,
     /// Set-algebra operations served by the arena's word-parallel dense
@@ -123,7 +123,7 @@ impl EvalStats {
     }
 
     /// Apply-cache hit rate `hits / (hits + misses)`, or 0 when the
-    /// cache never ran (memo off).
+    /// cache never ran (exact mode).
     pub fn memo_hit_rate(&self) -> f64 {
         let total = self.memo_hits + self.memo_misses;
         if total == 0 {

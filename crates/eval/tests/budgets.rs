@@ -1,22 +1,21 @@
 //! Memo-aware budget regression tests.
 //!
 //! A cache hit used to cost **0** against [`EvalConfig::max_nodes`], so
-//! a budget that cut the plain derivation mid-way could let the
-//! memoised run of the *same* evaluation slip through — budget
-//! exhaustion depended on the strategy. Hits now charge the recorded
-//! as-if-uncached cost of their cached subtree, so across the whole
-//! budget range the outcome (completes vs `NodeBudgetExceeded`) is
-//! identical with the cache on or off, for the eager and the traced
-//! builder alike.
+//! a budget that cut the derivation mid-way could let a warm re-run of
+//! the *same* evaluation slip through — budget exhaustion depended on
+//! what the cache held. Hits now charge the recorded as-if-uncached
+//! cost of their cached subtree, so across the whole budget range a
+//! serving-mode session's warm re-run has the outcome (completes vs
+//! `NodeBudgetExceeded`) of its cold run.
 //!
-//! Semi-naive (delta-driven) iteration follows a weaker, one-sided
-//! contract by design: a delta skip charges the recorded cost of the
-//! skipped frontier, and the fused Prop 2.1 rules do strictly *less*
-//! work than the spread they replace — so a budget that admits the
-//! naive run always admits the semi-naive run (never the reverse).
+//! Serve mode against exact mode follows a weaker, one-sided contract
+//! by design: a delta skip charges the recorded cost of the skipped
+//! frontier, and the fused Prop 2.1 rules do strictly *less* work than
+//! the spread they replace — so a budget that admits the exact run
+//! always admits the serving run (never the reverse).
 
 use nra_core::{queries, Value};
-use nra_eval::{evaluate, evaluate_traced, EvalConfig, EvalError};
+use nra_eval::{evaluate, evaluate_traced, EvalConfig, EvalError, EvalSession, Mode};
 use nra_graph::{graph_to_value, DiGraph};
 
 /// Workload corpus: while-route fixpoints (where the apply cache
@@ -60,37 +59,52 @@ fn outcome(r: &Result<Value, EvalError>) -> &'static str {
     }
 }
 
+/// Evaluate `q` twice in one serving-mode session under `cfg`'s
+/// budgets: a cold run, then a re-run that hits whatever the first left
+/// in the apply cache.
+fn cold_and_warm(
+    q: &nra_core::Expr,
+    input: &Value,
+    cfg: EvalConfig,
+) -> (Result<Value, EvalError>, Result<Value, EvalError>) {
+    let mut session = EvalSession::new(cfg);
+    let cold = session.eval(q, input).result;
+    let warm = session.eval(q, input).result;
+    (cold, warm)
+}
+
 #[test]
 fn node_budget_exhaustion_is_memo_independent() {
     for (q, input) in corpus() {
-        let total = evaluate(&q, &input, &EvalConfig::default()).stats.nodes;
+        let total = evaluate(&q, &input, &EvalConfig::serve()).stats.nodes;
         for budget in budget_points(total) {
             let cfg = EvalConfig {
                 max_nodes: Some(budget),
-                ..EvalConfig::default()
+                ..EvalConfig::serve()
             };
-            let memo_cfg = EvalConfig {
-                memo: true,
-                ..cfg.clone()
-            };
-            let plain = evaluate(&q, &input, &cfg);
-            let memo = evaluate(&q, &input, &memo_cfg);
+            let (cold, warm) = cold_and_warm(&q, &input, cfg.clone());
             assert_eq!(
-                outcome(&plain.result),
-                outcome(&memo.result),
-                "{q} under node budget {budget}/{total}: memo-on diverged from memo-off"
+                outcome(&cold),
+                outcome(&warm),
+                "{q} under node budget {budget}/{total}: the warm cache changed the outcome"
             );
-            if let (Ok(a), Ok(b)) = (&plain.result, &memo.result) {
+            if let (Ok(a), Ok(b)) = (&cold, &warm) {
                 assert_eq!(a, b, "{q} under node budget {budget}");
             }
-            // the traced builder shares the same contract
-            let t_plain = evaluate_traced(&q, &input, &cfg);
-            let t_memo = evaluate_traced(&q, &input, &memo_cfg);
-            assert_eq!(
-                outcome(&t_plain.result.map(|n| n.output)),
-                outcome(&t_memo.result.map(|n| n.output)),
-                "traced {q} under node budget {budget}/{total}"
-            );
+            // the traced builder caches within one call: in serve mode
+            // it never trips a budget its exact-mode run survives
+            let exact_cfg = EvalConfig {
+                mode: Mode::Exact,
+                ..cfg.clone()
+            };
+            if let Ok(exact) = evaluate_traced(&q, &input, &exact_cfg).result {
+                let served = evaluate_traced(&q, &input, &cfg).result;
+                assert_eq!(
+                    served.ok().map(|n| n.output),
+                    Some(exact.output),
+                    "traced {q} under node budget {budget}/{total}"
+                );
+            }
         }
     }
 }
@@ -98,23 +112,18 @@ fn node_budget_exhaustion_is_memo_independent() {
 #[test]
 fn space_budget_exhaustion_is_memo_independent() {
     for (q, input) in corpus() {
-        let peak = evaluate(&q, &input, &EvalConfig::default())
+        let peak = evaluate(&q, &input, &EvalConfig::serve())
             .stats
             .max_object_size;
         for budget in budget_points(peak) {
             let cfg = EvalConfig {
                 max_object_size: Some(budget),
-                ..EvalConfig::default()
+                ..EvalConfig::serve()
             };
-            let memo_cfg = EvalConfig {
-                memo: true,
-                ..cfg.clone()
-            };
-            let plain = evaluate(&q, &input, &cfg);
-            let memo = evaluate(&q, &input, &memo_cfg);
+            let (cold, warm) = cold_and_warm(&q, &input, cfg);
             assert_eq!(
-                outcome(&plain.result),
-                outcome(&memo.result),
+                outcome(&cold),
+                outcome(&warm),
                 "{q} under space budget {budget}/{peak}"
             );
         }
@@ -135,25 +144,17 @@ fn seminaive_never_trips_budgets_the_naive_run_survives() {
             };
             let plain = evaluate(&q, &input, &cfg);
             if let Ok(expect) = plain.result {
-                for delta_cfg in [
-                    EvalConfig {
-                        semi_naive: true,
-                        ..cfg.clone()
-                    },
-                    EvalConfig {
-                        semi_naive: true,
-                        memo: true,
-                        ..cfg.clone()
-                    },
-                ] {
-                    let delta = evaluate(&q, &input, &delta_cfg);
-                    assert_eq!(
-                        delta.result.as_ref().ok(),
-                        Some(&expect),
-                        "{q} under node budget {budget}: semi-naive tripped a budget \
-                         the naive run survived"
-                    );
-                }
+                let serve_cfg = EvalConfig {
+                    mode: Mode::Serve,
+                    ..cfg.clone()
+                };
+                let delta = evaluate(&q, &input, &serve_cfg);
+                assert_eq!(
+                    delta.result.as_ref().ok(),
+                    Some(&expect),
+                    "{q} under node budget {budget}: serve mode tripped a budget \
+                     the exact run survived"
+                );
             }
         }
     }

@@ -36,18 +36,16 @@ fn eval_with_dense(
     s.eval(q, input)
 }
 
-/// The config mixes the dense toggle must be invisible under.
+/// The evaluator modes the dense toggle must be invisible under.
 fn modes() -> Vec<(&'static str, EvalConfig)> {
     vec![
-        ("plain", EvalConfig::default()),
-        ("memo", EvalConfig::memoised()),
-        ("semi-naive", EvalConfig::semi_naive()),
-        ("memo+semi-naive", EvalConfig::optimised()),
+        ("exact", EvalConfig::default()),
+        ("serve", EvalConfig::serve()),
     ]
 }
 
 /// Dense-on results and statistics are the dense-off ones on every small
-/// family, every strategy mix, and both TC routes (`EvalStats` equality
+/// family, both evaluator modes, and both TC routes (`EvalStats` equality
 /// ignores exactly the `dense_*` counters, nothing else).
 #[test]
 fn dense_toggle_is_invisible_on_all_families() {

@@ -3,8 +3,8 @@
 //!
 //! 1. results inhabit the statically computed output type (type
 //!    soundness of the §3 semantics);
-//! 2. the plain, traced, streaming, memoised and semi-naive evaluators
-//!    agree;
+//! 2. the plain, traced and streaming evaluators agree, in exact and in
+//!    serve mode;
 //! 3. budget errors are the only failures (no `Stuck`, ever, on
 //!    well-typed terms).
 
@@ -12,7 +12,7 @@ use nra_core::generate::{random_expr, GenConfig, Rng};
 use nra_core::typecheck::output_type;
 use nra_core::types::Type;
 use nra_core::value::Value;
-use nra_eval::{evaluate, evaluate_lazy, evaluate_traced, EvalConfig, EvalError};
+use nra_eval::{evaluate, evaluate_lazy, evaluate_traced, EvalConfig, EvalError, Mode};
 
 fn inputs_for(dom: &Type) -> Vec<Value> {
     match dom {
@@ -78,56 +78,41 @@ fn fuzz_domain(dom: &Type, seeds: std::ops::Range<u64>, cfg_gen: &GenConfig) {
                     if let Ok(lv) = lazy.result {
                         assert_eq!(&lv, v, "seed {seed} (lazy)");
                     }
-                    // 4. the apply cache changes cost, never the value —
-                    // and since hits only ever *shrink* the §3 counters,
-                    // the same budgets cannot trip earlier
-                    let memo_cfg = EvalConfig {
-                        memo: true,
+                    // 4. serve mode — the apply cache, semi-naive
+                    // iteration and the fused Prop 2.1 rules — changes
+                    // cost, never the value and never the fixpoint
+                    // trajectory; hits and delta skips only ever
+                    // *shrink* the §3 counters, so the same budgets
+                    // cannot trip earlier
+                    let serve_cfg = EvalConfig {
+                        mode: Mode::Serve,
                         ..cfg.clone()
                     };
-                    let memoised = evaluate(&e, &input, &memo_cfg);
+                    let served = evaluate(&e, &input, &serve_cfg);
                     assert_eq!(
-                        memoised.result.as_ref().expect("memoised succeeds"),
+                        served.result.as_ref().expect("serve mode succeeds"),
                         v,
-                        "seed {seed} (memoised)"
+                        "seed {seed} (serve)"
                     );
-                    // 5. semi-naive (delta-driven) iteration and its
-                    // fused Prop 2.1 rules change cost, never the value
-                    // — and never the fixpoint trajectory; a delta skip
-                    // does strictly less work, so the same budgets
-                    // cannot trip earlier here either
-                    for (mode, memo) in [("semi-naive", false), ("memo+semi-naive", true)] {
-                        let delta_cfg = EvalConfig {
-                            semi_naive: true,
-                            memo,
-                            ..cfg.clone()
-                        };
-                        let delta = evaluate(&e, &input, &delta_cfg);
-                        assert_eq!(
-                            delta.result.as_ref().expect("semi-naive succeeds"),
-                            v,
-                            "seed {seed} ({mode})"
-                        );
-                        assert_eq!(
-                            delta.stats.while_iterations, plain.stats.while_iterations,
-                            "seed {seed} ({mode}): exact trajectory"
-                        );
-                        assert!(
-                            delta.stats.nodes <= plain.stats.nodes,
-                            "seed {seed} ({mode}): counters may only shrink"
-                        );
-                        // the traced builder under semi-naive grafts
-                        // shared subtrees but materialises the same tree
-                        let traced_delta = evaluate_traced(&e, &input, &delta_cfg);
-                        assert_eq!(
-                            &traced_delta
-                                .result
-                                .expect("traced semi-naive succeeds")
-                                .output,
-                            v,
-                            "seed {seed} (traced {mode})"
-                        );
-                    }
+                    assert_eq!(
+                        served.stats.while_iterations, plain.stats.while_iterations,
+                        "seed {seed} (serve): exact trajectory"
+                    );
+                    assert!(
+                        served.stats.nodes <= plain.stats.nodes,
+                        "seed {seed} (serve): counters may only shrink"
+                    );
+                    // the traced builder in serve mode grafts shared
+                    // subtrees but materialises the same tree
+                    let traced_served = evaluate_traced(&e, &input, &serve_cfg);
+                    assert_eq!(
+                        &traced_served
+                            .result
+                            .expect("traced serve mode succeeds")
+                            .output,
+                        v,
+                        "seed {seed} (traced serve)"
+                    );
                 }
                 Err(
                     EvalError::SpaceBudgetExceeded { .. }

@@ -30,7 +30,7 @@ fn family_inputs(rng: &mut Rng) -> Vec<(&'static str, Value)> {
 #[test]
 fn eviction_never_changes_results() {
     check("eviction_never_changes_results", CASES, |_, rng| {
-        let config = EvalConfig::optimised();
+        let config = EvalConfig::serve();
         let mut warm = EvalSession::new(config.clone());
         let mut evicting = EvalSession::with_resident_budget(config.clone(), 1);
         for (family, input) in family_inputs(rng) {
@@ -81,7 +81,7 @@ fn resident_bytes_are_monotone_within_a_generation() {
         "resident_bytes_are_monotone_within_a_generation",
         CASES,
         |_, rng| {
-            let mut session = EvalSession::new(EvalConfig::optimised());
+            let mut session = EvalSession::new(EvalConfig::serve());
             let mut last = session.approx_resident_bytes();
             let baseline = last;
             for (family, input) in family_inputs(rng) {
@@ -111,7 +111,7 @@ fn resident_bytes_are_monotone_within_a_generation() {
 /// the chain n = 12 hits the surviving apply cache on the second call.
 #[test]
 fn warm_start_on_chain_12_hits_the_cache() {
-    let mut session = EvalSession::new(EvalConfig::optimised());
+    let mut session = EvalSession::new(EvalConfig::serve());
     let input = Value::chain(12);
     let cold = session.eval(&queries::tc_while(), &input);
     assert_eq!(cold.result.unwrap(), Value::chain_tc(12));
@@ -140,7 +140,7 @@ fn warm_start_on_chain_12_hits_the_cache() {
 /// smaller run.
 #[test]
 fn warm_starts_cross_related_queries() {
-    let mut session = EvalSession::new(EvalConfig::optimised());
+    let mut session = EvalSession::new(EvalConfig::serve());
     session
         .eval(&queries::tc_while(), &Value::chain(8))
         .result
@@ -201,7 +201,7 @@ fn batch_folds_into_session_stats_like_a_sequential_loop() {
 /// which is precisely what the bug lost.
 #[test]
 fn batch_cache_activity_is_visible_in_session_stats() {
-    let mut session = EvalSession::new(EvalConfig::optimised());
+    let mut session = EvalSession::new(EvalConfig::serve());
     let jobs = chain_jobs(&mut session);
     nra_eval::eval_batch(&mut session, &jobs, 3);
     let first = *session.stats();

@@ -15,8 +15,10 @@
 //!
 //! The evaluator knows nothing about rescues: `nra-eval` exposes a
 //! [`RewritePass`] hook on [`EvalSession`], and
-//! [`install`] plugs this crate's pass into it. [`EvalConfig::rewritten`]
-//! is the full stack — rewriting + apply cache + semi-naive iteration.
+//! [`install`] plugs this crate's pass into it. An
+//! [`EvalConfig::serve`] session with the pass installed is the full
+//! stack the serving front runs — rewriting + apply cache + semi-naive
+//! iteration.
 //!
 //! ```
 //! use nra_core::{queries, Value};
@@ -28,7 +30,7 @@
 //!
 //! // …and a session with the pass installed serves it in polynomial
 //! // space, bit-for-bit equal to the raw evaluation
-//! let mut session = nra_opt::optimising_session(EvalConfig::rewritten());
+//! let mut session = nra_opt::optimising_session(EvalConfig::serve());
 //! let input = Value::chain(6);
 //! let ev = session.eval(&queries::tc_paths(), &input);
 //! assert_eq!(ev.result.unwrap(), Value::chain_tc(6));
@@ -71,8 +73,8 @@ pub fn pass() -> RewritePass {
     std::sync::Arc::new(|ea: &mut ExprArena, root: EId| optimise(ea, root))
 }
 
-/// Install the default pass on a session (the session still only runs
-/// it when its config has [`EvalConfig::optimise`] set).
+/// Install the default pass on a session: from now on every query the
+/// session evaluates is rewritten first, whatever its evaluator mode.
 pub fn install(session: &mut EvalSession) {
     session.set_rewriter(Some(pass()));
 }
@@ -92,8 +94,8 @@ mod tests {
     #[test]
     fn session_pass_is_transparent_for_results() {
         let input = Value::chain(6);
-        let mut plain = EvalSession::new(EvalConfig::optimised());
-        let mut optimising = optimising_session(EvalConfig::rewritten());
+        let mut plain = EvalSession::new(EvalConfig::serve());
+        let mut optimising = optimising_session(EvalConfig::serve());
         for q in [queries::tc_while(), queries::tc_paths(), queries::tc_step()] {
             let raw = plain
                 .eval(&q, &input)
@@ -117,24 +119,23 @@ mod tests {
         let budget = 1 << 16;
         let strict = EvalConfig {
             max_object_size: Some(budget),
-            ..EvalConfig::optimised()
+            ..EvalConfig::serve()
         };
         let raw = EvalSession::new(strict.clone())
             .eval(&queries::tc_paths(), &input)
             .result;
         assert!(raw.is_err(), "powerset route must blow the budget");
-        let rescued = optimising_session(EvalConfig {
-            optimise: true,
-            ..strict
-        })
-        .eval(&queries::tc_paths(), &input)
-        .result;
+        let rescued = optimising_session(strict)
+            .eval(&queries::tc_paths(), &input)
+            .result;
         assert_eq!(rescued.unwrap(), Value::chain_tc(12));
     }
 
     #[test]
     fn optimise_flag_without_installed_pass_is_identity() {
-        let mut session = EvalSession::new(EvalConfig::rewritten());
+        // a session rewrites if and only if a pass is installed: serve
+        // mode alone does not
+        let mut session = EvalSession::new(EvalConfig::serve());
         let eid = session.intern_expr(&queries::tc_paths());
         assert_eq!(session.optimise_eid(eid), eid);
     }
@@ -185,7 +186,7 @@ mod tests {
 
     #[test]
     fn pass_memoises_per_root() {
-        let mut session = optimising_session(EvalConfig::rewritten());
+        let mut session = optimising_session(EvalConfig::serve());
         let eid = session.intern_expr(&queries::tc_paths());
         let first = session.optimise_eid(eid);
         let second = session.optimise_eid(eid);

@@ -9,31 +9,25 @@
 
 use nra_core::generate::{random_expr, GenConfig, Rng as GenRng};
 use nra_core::{builder, queries, Expr, ExprArena, Type, Value};
-use nra_eval::{evaluate, EvalConfig};
+use nra_eval::{evaluate, EvalConfig, Mode};
 use nra_opt::RESCUES;
 use nra_testkit::{graphs, Rng};
 
-/// Every `memo`/`semi_naive` combination, space-budgeted so the
-/// powerset-route queries fail fast instead of materialising exponential
-/// families on the larger graphs.
-fn config_mixes() -> Vec<(&'static str, EvalConfig)> {
-    [
-        ("plain", false, false),
-        ("memo", true, false),
-        ("semi-naive", false, true),
-        ("memo+semi-naive", true, true),
-    ]
-    .into_iter()
-    .map(|(name, memo, semi_naive)| {
-        let config = EvalConfig {
-            memo,
-            semi_naive,
-            max_object_size: Some(1 << 16),
-            ..EvalConfig::default()
-        };
-        (name, config)
-    })
-    .collect()
+/// Both evaluator modes, space-budgeted so the powerset-route queries
+/// fail fast instead of materialising exponential families on the
+/// larger graphs.
+fn modes() -> Vec<(&'static str, EvalConfig)> {
+    [("exact", Mode::Exact), ("serve", Mode::Serve)]
+        .into_iter()
+        .map(|(name, mode)| {
+            let config = EvalConfig {
+                mode,
+                max_object_size: Some(1 << 16),
+                ..EvalConfig::default()
+            };
+            (name, config)
+        })
+        .collect()
 }
 
 /// Optimise a tree-form expression, reporting how many rescues fired.
@@ -46,7 +40,7 @@ fn optimise(e: &Expr) -> (Expr, u64) {
 
 /// The one-sided bit-for-bit check on one (expression, input) pair.
 fn check(label: &str, raw: &Expr, optimised: &Expr, input: &Value) {
-    for (mode, config) in config_mixes() {
+    for (mode, config) in modes() {
         let r = evaluate(raw, input, &config);
         if let Ok(expected) = r.result {
             let o = evaluate(optimised, input, &config);
@@ -94,7 +88,7 @@ fn optimised_zoo_agrees_with_raw_on_all_families() {
 
 /// Random well-typed expressions — `powerset`, `powersetₘ` and `while`
 /// all enabled — each wrapped around a rescue left-hand side, survive
-/// optimisation bit-for-bit across families and configuration mixes.
+/// optimisation bit-for-bit across families and both evaluator modes.
 /// This is the fuzzing arm of the contract: the zoo exercises the
 /// rescues at the root, the generator exercises them inside contexts
 /// nobody meant to write.
@@ -168,7 +162,7 @@ fn rescue_differential_holds_under_the_separating_budget() {
     let input = Value::chain(12);
     let strict = EvalConfig {
         max_object_size: Some(1 << 16),
-        ..EvalConfig::optimised()
+        ..EvalConfig::serve()
     };
     let raw = evaluate(&queries::tc_paths(), &input, &strict);
     assert!(raw.result.is_err(), "powerset route must blow the budget");

@@ -313,7 +313,7 @@ mod tests {
     use nra_symbolic::SpaceVerdict;
 
     fn decide(query: &Expr, input: &Value, policy: &AdmissionPolicy) -> AdmissionDecision {
-        let mut session = EvalSession::new(EvalConfig::optimised());
+        let mut session = EvalSession::new(EvalConfig::serve());
         let eid = session.intern_expr(query);
         let vid = session.intern_value(input);
         admit(&mut session, eid, vid, policy)

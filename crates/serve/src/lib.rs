@@ -27,10 +27,10 @@
 //! * [`wire`] — a newline-delimited frame format over an in-repo
 //!   byte-chunk transport (no async runtime), reusing
 //!   [`nra_core::parser`] as the payload syntax;
-//! * [`schedule`] — cache-aware partitioning of admitted batches:
-//!   jobs sharing hash-consed subtrees land on the same worker;
-//! * [`server`] — the loop: drain a window of frames, admit, partition,
-//!   evaluate on scoped threads over the shared concurrent store,
+//! * [`server`] — the loop: drain a window of frames, admit, place the
+//!   admitted jobs with [`partition`] (the batch layer's round-robin,
+//!   with a small-batch floor that runs cheap batches inline), evaluate
+//!   on scoped threads over the shared concurrent store,
 //!   charge per-tenant byte budgets that reset with the engine's
 //!   eviction generations, answer every frame exactly once.
 
@@ -38,7 +38,6 @@
 #![forbid(unsafe_code)]
 
 pub mod admission;
-pub mod schedule;
 pub mod server;
 pub mod wire;
 
@@ -46,7 +45,7 @@ pub use admission::{
     admit, powerset_object_size, AdmissionDecision, AdmissionPolicy, Admitted, Rejected,
     DEFAULT_POWERSET_CEILING, PROBE_HEADROOM,
 };
-pub use schedule::partition;
+pub use nra_eval::partition;
 pub use server::{spawn, Client, ServeConfig, ServeReport, Server, StagedJob, TenantStats};
 pub use wire::{
     decode_frame, decode_response, encode_request, encode_response, socketpair, Endpoint, Frame,

@@ -1,12 +1,12 @@
-//! The long-lived serving loop: wire in, admission, cache-aware batch
-//! scheduling, per-tenant byte budgets, wire out.
+//! The long-lived serving loop: wire in, admission, batch placement,
+//! per-tenant byte budgets, wire out.
 //!
 //! One [`Server`] owns one [`EvalSession`] (the shared concurrent
 //! store every batch's workers intern into) and a tenant ledger. Its
 //! [`run`](Server::run) loop blocks on the transport, drains up to
 //! [`ServeConfig::batch_window`] frames, admits each request
-//! ([`crate::admission`]), places the admitted jobs with the
-//! cache-aware scheduler ([`crate::schedule`]), evaluates them on
+//! ([`crate::admission`]), places the admitted jobs with the batch
+//! layer's [`partition`], evaluates them on
 //! scoped worker threads via [`nra_eval::eval_batch_assigned`] — each
 //! under its **declared budget** — and answers every frame exactly
 //! once. A worker panic is contained by the batch layer and surfaces
@@ -26,17 +26,18 @@
 //! [`Server::run_staged`] directly.
 
 use crate::admission::{admit, AdmissionDecision, AdmissionPolicy};
-use crate::schedule::partition;
 use crate::wire::{
-    decode_frame, encode_response, socketpair, Endpoint, Frame, Outcome, Request, Response,
-    WireError,
+    decode_frame, encode_response, parse_id, socketpair, Endpoint, Frame, Outcome, Request,
+    Response, WireError,
 };
 use nra_core::expr::intern::EId;
 use nra_core::parser::MAX_NESTING;
 use nra_core::typecheck::output_type;
 use nra_core::value::intern::VId;
 use nra_core::{Expr, Value};
-use nra_eval::{eval_batch_assigned, BatchJob, EvalConfig, EvalSession, SessionStats};
+use nra_eval::{
+    eval_batch_assigned, partition, BatchJob, EvalConfig, EvalSession, Mode, SessionStats,
+};
 use nra_symbolic::SpaceVerdict;
 use std::collections::BTreeMap;
 use std::thread::JoinHandle;
@@ -69,13 +70,14 @@ impl Default for ServeConfig {
             tenant_budget_bytes: u64::MAX,
             resident_budget_bytes: None,
             // the serving front runs the full stack: the rewrite
-            // optimiser in front of the memo + semi-naive interpreter.
-            // The apply cache keys on the *optimised* root, so a warm
+            // optimiser (installed by `Server::new` in this mode) in
+            // front of the serving-mode interpreter. The apply cache
+            // keys on the *optimised* root, so a warm
             // re-evaluation hits the rewritten DAG's entries — and a
             // query admission would reject in its submitted form can be
             // rescued by a space-class-improving rewrite (the
             // powerset-route → while-route transitive closure headline)
-            eval: EvalConfig::rewritten(),
+            eval: EvalConfig::serve(),
         }
     }
 }
@@ -177,7 +179,7 @@ impl Server {
         // cold (local entries are not migrated) — staying local until
         // the first batch split would throw the probe's warmth away
         session.make_shared();
-        if config.eval.optimise {
+        if config.eval.mode == Mode::Serve {
             nra_opt::install(&mut session);
         }
         session.set_resident_budget(config.resident_budget_bytes);
@@ -273,11 +275,7 @@ impl Server {
         // rejected into the admitted set
         let raw = self.session.intern_expr(&request.query);
         let input = self.session.intern_value(&request.input);
-        let query = if self.config.eval.optimise {
-            self.session.optimise_eid(raw)
-        } else {
-            raw
-        };
+        let query = self.session.optimise_eid(raw);
         match admit(&mut self.session, query, input, &self.config.policy) {
             AdmissionDecision::Admitted(a) => {
                 // a rescue = the rewrite changed the query AND the
@@ -312,7 +310,7 @@ impl Server {
         }
     }
 
-    /// Evaluate one staged batch: cache-aware partition, scoped-thread
+    /// Evaluate one staged batch: round-robin partition, scoped-thread
     /// fan-out under per-job budgets, tenant charging, generation roll.
     /// One response per job, in job order.
     pub fn run_staged(&mut self, staged: &[StagedJob]) -> Vec<Response> {
@@ -432,13 +430,10 @@ impl Server {
                         self.report.decode_errors += 1;
                         // salvage the tenant prefix when present so the
                         // client can correlate the failure
-                        let tenant = line.split(';').next().unwrap_or("");
+                        let mut fields = line.split(';');
+                        let tenant = fields.next().unwrap_or("");
                         if crate::wire::validate_tenant(tenant).is_ok() {
-                            let id = line
-                                .split(';')
-                                .nth(1)
-                                .and_then(|f| f.parse::<u64>().ok())
-                                .unwrap_or(0);
+                            let id = fields.next().and_then(|f| parse_id(f).ok()).unwrap_or(0);
                             let resp = Response {
                                 tenant: tenant.to_string(),
                                 id,
@@ -585,8 +580,9 @@ mod tests {
                 query: (rescue.lhs)(),
                 input: Value::chain(20),
             };
+            // exact mode installs no rewrite pass
             let mut off = Server::new(ServeConfig {
-                eval: EvalConfig::optimised(),
+                eval: EvalConfig::default(),
                 ..ServeConfig::default()
             });
             let responses = off.process_batch(std::slice::from_ref(&request));
@@ -614,13 +610,10 @@ mod tests {
         // and that judgment must land in the shared apply table so the
         // admitted run starts warm (a local cache is discarded, not
         // migrated, when the first batch split shares the store).
-        // The memo config probes the cache at every node, so the
-        // overlap with the probe's keys is exact; optimise stays off so
-        // the query runs as submitted
-        let mut server = Server::new(ServeConfig {
-            eval: EvalConfig::optimised(),
-            ..ServeConfig::default()
-        });
+        // Serve mode probes the cache at every node, so the overlap
+        // with the probe's keys is exact; no rescue matches this query,
+        // so it runs as submitted
+        let mut server = Server::new(ServeConfig::default());
         let query = nra_core::builder::compose(nra_core::builder::powerset(), queries::tc_step());
         let responses = server.process_batch(&[Request {
             tenant: "acme".into(),

@@ -156,6 +156,16 @@ pub fn encode_request(req: &Request) -> Result<String, WireError> {
     Ok(line)
 }
 
+/// Parse a request frame's id field, surrounding whitespace allowed.
+/// [`decode_frame`] and the server's salvage of an undecodable frame
+/// both read the id through this, so they agree on every line.
+pub(crate) fn parse_id(field: &str) -> Result<u64, WireError> {
+    field
+        .trim()
+        .parse::<u64>()
+        .map_err(|e| WireError::Malformed(format!("bad id field: {e}")))
+}
+
 /// Decode one inbound line into a [`Frame`].
 pub fn decode_frame(line: &str) -> Result<Frame, WireError> {
     if line == SHUTDOWN_FRAME {
@@ -166,12 +176,11 @@ pub fn decode_frame(line: &str) -> Result<Frame, WireError> {
         .next()
         .ok_or_else(|| WireError::Malformed("empty frame".into()))?;
     validate_tenant(tenant)?;
-    let id = fields
-        .next()
-        .ok_or_else(|| WireError::Malformed("missing id field".into()))?
-        .trim()
-        .parse::<u64>()
-        .map_err(|e| WireError::Malformed(format!("bad id field: {e}")))?;
+    let id = parse_id(
+        fields
+            .next()
+            .ok_or_else(|| WireError::Malformed("missing id field".into()))?,
+    )?;
     let query = parse_expr(
         fields
             .next()

@@ -45,7 +45,7 @@ fn every_admitted_query_evaluates_within_its_declared_budget() {
         for g in graphs::family_graphs(rng) {
             let input = Value::relation(g.edges.iter().copied());
             for q in &zoo {
-                let mut session = EvalSession::new(EvalConfig::optimised());
+                let mut session = EvalSession::new(EvalConfig::serve());
                 let eid = session.intern_expr(q);
                 let vid = session.intern_value(&input);
                 match admit(&mut session, eid, vid, &policy) {
@@ -132,7 +132,7 @@ fn large_graph_families_evaluate_within_domain_word_budgets() {
         for g in graphs::large_family_graphs(rng, 16) {
             let input = Value::relation(g.edges.iter().copied());
             for q in &zoo {
-                let mut session = EvalSession::new(EvalConfig::optimised());
+                let mut session = EvalSession::new(EvalConfig::serve());
                 let eid = session.intern_expr(q);
                 let vid = session.intern_value(&input);
                 let admitted = match admit(&mut session, eid, vid, &policy) {
@@ -188,7 +188,7 @@ fn serving_scale_inputs_get_finite_polynomial_budgets_and_reject_powerset_routes
     for g in graphs::large_family_graphs(&mut rng, 512) {
         let input = Value::relation(g.edges.iter().copied());
         for q in &polynomial_zoo() {
-            let mut session = EvalSession::new(EvalConfig::optimised());
+            let mut session = EvalSession::new(EvalConfig::serve());
             let eid = session.intern_expr(q);
             let vid = session.intern_value(&input);
             match admit(&mut session, eid, vid, &policy) {
@@ -215,7 +215,7 @@ fn serving_scale_inputs_get_finite_polynomial_budgets_and_reject_powerset_routes
             }
         }
         for q in [queries::tc_paths(), queries::tc_naive()] {
-            let mut session = EvalSession::new(EvalConfig::optimised());
+            let mut session = EvalSession::new(EvalConfig::serve());
             let eid = session.intern_expr(&q);
             let vid = session.intern_value(&input);
             match admit(&mut session, eid, vid, &policy) {
@@ -240,7 +240,7 @@ fn rejected_chains_cite_the_bound_the_separation_harness_certifies() {
     let policy = AdmissionPolicy::default();
     let mut threshold = None;
     for n in 1..=32u64 {
-        let mut session = EvalSession::new(EvalConfig::optimised());
+        let mut session = EvalSession::new(EvalConfig::serve());
         let eid = session.intern_expr(&queries::tc_paths());
         let vid = session.intern_value(&Value::chain(n));
         match admit(&mut session, eid, vid, &policy) {

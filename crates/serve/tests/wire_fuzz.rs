@@ -20,7 +20,8 @@
 //! Plus the totality regression for nesting: a frame nested past
 //! [`MAX_NESTING`] gets one `failed` response instead of overflowing the
 //! serving thread's stack, frames at the bound are served, and a result
-//! too deep for a client's parser is answered `failed`, not `ok`.
+//! too deep for a client's parser is answered `failed`, not `ok`. An
+//! undecodable frame is answered `failed` under the id the decoder reads.
 
 use nra_core::generate::{random_expr, GenConfig, Rng as GenRng};
 use nra_core::parser::{parse_expr, parse_value, MAX_NESTING};
@@ -268,4 +269,31 @@ fn overly_nested_frames_fail_and_the_server_keeps_serving() {
     client.shutdown().unwrap();
     let report = handle.join().expect("server thread survives");
     assert_eq!(report.decode_errors, 2);
+}
+
+/// An undecodable frame is answered `failed` under the id the decoder
+/// reads: the salvage trims the id field exactly as `decode_frame` does,
+/// so ` 7` correlates as 7, not 0.
+#[test]
+fn undecodable_frames_are_answered_under_their_id() {
+    let (mut client, handle) = spawn(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    client
+        .tx
+        .send_line("acme; 7;this is not a query;{}")
+        .unwrap();
+    let resp = client
+        .recv()
+        .expect("server alive")
+        .expect("response decodes");
+    assert_eq!((resp.tenant.as_str(), resp.id), ("acme", 7), "{resp:?}");
+    assert!(
+        matches!(&resp.outcome, Outcome::Failed { detail } if detail.starts_with("wire:")),
+        "{resp:?}"
+    );
+    client.shutdown().unwrap();
+    let report = handle.join().expect("server thread survives");
+    assert_eq!(report.decode_errors, 1);
 }

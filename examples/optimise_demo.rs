@@ -30,8 +30,9 @@ fn main() {
     }
 
     // ── without the optimiser: rejected at the door ─────────────────
+    // (an exact-mode front installs no rewrite pass)
     let strict = ServeConfig {
-        eval: EvalConfig::optimised(),
+        eval: EvalConfig::default(),
         ..ServeConfig::default()
     };
     let (mut client, handle) = spawn(strict);

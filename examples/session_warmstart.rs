@@ -17,7 +17,7 @@ use std::time::Instant;
 
 fn main() {
     // --- cross-query warm starts --------------------------------------
-    let mut session = EvalSession::new(EvalConfig::optimised());
+    let mut session = EvalSession::new(EvalConfig::serve());
     let input = Value::chain(12);
 
     let t = Instant::now();
@@ -66,7 +66,7 @@ fn main() {
     println!("       every result re-interned canonically — bit-for-bit the sequential answers");
 
     // --- bounded residency: generation-based eviction ------------------
-    let mut bounded = EvalSession::with_resident_budget(EvalConfig::optimised(), 64 * 1024);
+    let mut bounded = EvalSession::with_resident_budget(EvalConfig::serve(), 64 * 1024);
     for round in 0..3 {
         let ev = bounded.eval(&queries::tc_while(), &Value::chain(10));
         assert!(ev.result.is_ok());

@@ -15,7 +15,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`core`] (`nra-core`) | the language: types, complex objects (tree + hash-consed arena, [`core::value::intern`], with merge-based set algebra), hash-consed expressions ([`core::expr::intern`]), the §2 primitives, the Prop 2.1 derived algebra, the TC queries, `powersetₘ` |
-//! | [`eval`] (`nra-eval`) | the §3 eager evaluator with the paper's complexity measure, budgets, derivation trees, a streaming (lazy) strategy, and an optional BDD-style apply cache (`EvalConfig::memoised`) — all running on interned handles |
+//! | [`eval`] (`nra-eval`) | the §3 eager evaluator with the paper's complexity measure, budgets, derivation trees, a streaming (lazy) strategy, and a serving mode (apply cache, semi-naive iteration, fused rules) beside the exact one (`EvalConfig::serve`) — all running on interned handles |
 //! | [`graph`] (`nra-graph`) | input generators (chains, cycles, deterministic graphs) and classical polynomial TC baselines |
 //! | [`symbolic`] (`nra-symbolic`) | the §5 proof machinery: abstract expressions, the Lemma 5.1 evaluator, affine spaces, quantifier elimination, the Lemma 5.8 dichotomy, the Lemma 5.7 Ramsey bound, Corollary 5.3 |
 //! | [`circuits`] (`nra-circuits`) | Prop 4.3's `AC⁰`/`TC⁰` substrate: threshold circuits and a flat-algebra compiler |
@@ -79,26 +79,29 @@
 //! assert_eq!(intern::size(out), 1 + 3 * 21); // O(1) §3 size: 21 closure edges
 //! ```
 //!
-//! ## The apply cache
+//! ## Exact and serving modes
 //!
 //! Expressions are hash-consed too ([`core::expr::intern`]), and
-//! [`eval::EvalConfig::memoised`] switches the eager evaluator onto a
-//! BDD-style apply cache keyed `(EId, VId) → VId`: a judgment already
-//! derived returns its cached handle instead of re-running the §3
-//! rules, which collapses the repeated body applications inside `while`
-//! iterates. Results are bit-for-bit identical; the cache reports its
-//! activity separately instead of disturbing the §3 statistics:
+//! [`eval::EvalConfig::serve`] switches the eager evaluator into
+//! [`eval::Mode::Serve`]: a BDD-style apply cache keyed
+//! `(EId, VId) → VId` returns a judgment already derived instead of
+//! re-running the §3 rules, `while` iterates run semi-naively on their
+//! frontier, and recognisable derived shapes (the keyed equi-join
+//! among them) run as fused rules. Results are bit-for-bit identical;
+//! the caches report their activity separately instead of disturbing
+//! the §3 statistics, which the default [`eval::Mode::Exact`] keeps
+//! exact:
 //!
 //! ```
 //! use powerset_tc::core::{queries, Value};
 //! use powerset_tc::eval::{evaluate, EvalConfig};
 //!
 //! let input = Value::chain(6);
-//! let plain = evaluate(&queries::tc_while(), &input, &EvalConfig::default());
-//! let memo = evaluate(&queries::tc_while(), &input, &EvalConfig::memoised());
-//! assert_eq!(plain.result.unwrap(), memo.result.unwrap()); // same closure…
-//! assert!(memo.stats.memo_hits > 0); // …with repeated judgments skipped
-//! assert_eq!(plain.stats.memo_hits, 0); // memo-off stats stay exact
+//! let exact = evaluate(&queries::tc_while(), &input, &EvalConfig::default());
+//! let serve = evaluate(&queries::tc_while(), &input, &EvalConfig::serve());
+//! assert_eq!(exact.result.unwrap(), serve.result.unwrap()); // same closure…
+//! assert!(serve.stats.nodes < exact.stats.nodes); // …from a smaller derivation
+//! assert_eq!(exact.stats.memo_hits + exact.stats.delta_hits, 0); // exact stays exact
 //! ```
 
 #![deny(missing_docs)]

@@ -1,7 +1,7 @@
 //! The differential test harness: every route to the transitive closure —
 //! the eager powerset query (`tc_paths`), the `while` query (`tc_while`),
-//! their memoised (apply-cache), semi-naive and rewritten (the serving
-//! front's configuration) evaluations, the streaming (lazy) evaluator,
+//! their serve-mode evaluations (plain, and rewritten as the serving
+//! front runs them), the streaming (lazy) evaluator,
 //! and the classical `nra-graph` baselines (Warshall, semi-naive,
 //! per-source BFS) — must agree on randomized graphs from
 //! seven families (chains, cycles, DAGs, disconnected graphs, grids,
@@ -65,43 +65,38 @@ fn assert_all_routes_agree(g: &DiGraph, label: &str) {
         .unwrap_or_else(|e| panic!("lazy tc_paths failed on {label}: {e}"));
     assert_eq!(lazy_paths, expect, "lazy tc_paths vs baselines on {label}");
 
-    // …the memoised (apply-cache), semi-naive (delta-driven),
-    // fully-optimised, and rewritten evaluations of both routes, which
-    // must all be bit-for-bit the default results. The rewritten mode is
-    // the serving front's exact configuration, so it runs in a session
-    // with the optimiser's rewrite pass installed, as the front does…
-    for (mode, cfg) in [
-        ("memoised", EvalConfig::memoised()),
-        ("semi-naive", EvalConfig::semi_naive()),
-        ("optimised", EvalConfig::optimised()),
-        ("rewritten", EvalConfig::rewritten()),
+    // …serve mode on both routes, bit for bit the exact results: once
+    // through the facade, and once as the serving front runs it, in a
+    // session with the optimiser's rewrite pass installed…
+    for (route, q) in [
+        ("tc_paths", queries::tc_paths()),
+        ("tc_while", queries::tc_while()),
     ] {
-        for (route, q) in [
-            ("tc_paths", queries::tc_paths()),
-            ("tc_while", queries::tc_while()),
-        ] {
-            let got = if cfg.optimise {
-                optimising_session(cfg.clone()).eval(&q, &input)
-            } else {
-                evaluate(&q, &input, &cfg)
-            }
+        let served = evaluate(&q, &input, &EvalConfig::serve())
             .result
-            .unwrap_or_else(|e| panic!("{mode} {route} failed on {label}: {e}"));
-            assert_eq!(got, expect, "{mode} {route} vs baselines on {label}");
-        }
+            .unwrap_or_else(|e| panic!("serve {route} failed on {label}: {e}"));
+        assert_eq!(served, expect, "serve {route} vs baselines on {label}");
+        let rewritten = optimising_session(EvalConfig::serve())
+            .eval(&q, &input)
+            .result
+            .unwrap_or_else(|e| panic!("rewritten {route} failed on {label}: {e}"));
+        assert_eq!(
+            rewritten, expect,
+            "rewritten {route} vs baselines on {label}"
+        );
     }
 
-    // …the semi-naive runs iterate the exact naive trajectory…
+    // …serve mode iterates the exact naive trajectory…
     let naive_while = evaluate(&queries::tc_while(), &input, &cfg);
-    let semi_while = evaluate(&queries::tc_while(), &input, &EvalConfig::semi_naive());
+    let semi_while = evaluate(&queries::tc_while(), &input, &EvalConfig::serve());
     assert_eq!(
         naive_while.stats.while_iterations, semi_while.stats.while_iterations,
-        "semi-naive while_iterations must be exact on {label}"
+        "serve-mode while_iterations must be exact on {label}"
     );
 
     // …and the streaming evaluator with the shared apply cache agrees
     // with its uncached self.
-    let lazy_cached = evaluate_lazy(&queries::tc_paths(), &input, &EvalConfig::memoised())
+    let lazy_cached = evaluate_lazy(&queries::tc_paths(), &input, &EvalConfig::serve())
         .result
         .unwrap_or_else(|e| panic!("cached lazy tc_paths failed on {label}: {e}"));
     assert_eq!(lazy_cached, expect, "cached lazy tc_paths on {label}");
@@ -272,7 +267,7 @@ fn batch_evaluation_matches_sequential_on_all_families() {
                 .into_iter()
                 .map(lift)
                 .collect();
-            for config in [EvalConfig::default(), EvalConfig::optimised()] {
+            for config in [EvalConfig::default(), EvalConfig::serve()] {
                 let mut session = EvalSession::new(config.clone());
                 let q_while = session.intern_expr(&queries::tc_while());
                 let q_paths = session.intern_expr(&queries::tc_paths());
