@@ -267,6 +267,66 @@ fn strategies_agree_with_the_graph_referee() {
     );
 }
 
+/// The apply cache must change the cost, never the answer: serve-mode
+/// eager evaluation, which consults the cache, is bit-for-bit the
+/// exact-mode result on every family and route, serve-mode *traced*
+/// evaluation grafts cached sub-derivations yet materialises the
+/// identical result, and exact-mode statistics
+/// never count the cache — the §3 node count of a serve-mode run never
+/// exceeds the exact one, with the skipped work reported in `memo_hits`.
+#[test]
+fn memoised_agrees_with_unmemoised_on_all_families() {
+    check(
+        "memoised_agrees_with_unmemoised_on_all_families",
+        CASES,
+        |_, rng| {
+            let cfg = EvalConfig::default();
+            let serve_cfg = EvalConfig::serve();
+            for (family, g) in family_graphs(rng) {
+                let input = graph_to_value(&g);
+                let mut consulted = 0;
+                for q in [queries::tc_paths(), queries::tc_while(), queries::tc_step()] {
+                    let plain = evaluate(&q, &input, &cfg);
+                    let memoised = evaluate(&q, &input, &serve_cfg);
+                    assert_eq!(
+                        plain.result.as_ref().unwrap(),
+                        memoised.result.as_ref().unwrap(),
+                        "{family}: {q}"
+                    );
+                    assert_eq!(
+                        plain.stats.memo_hits + plain.stats.memo_misses,
+                        0,
+                        "{family}: {q} — exact-mode stats must not count the cache"
+                    );
+                    assert!(
+                        memoised.stats.nodes <= plain.stats.nodes,
+                        "{family}: {q} — hits may only shrink the node count"
+                    );
+                    assert!(
+                        memoised.stats.max_object_size <= plain.stats.max_object_size,
+                        "{family}: {q} — the §3 complexity is a max over a subset of the judgments"
+                    );
+                    consulted += memoised.stats.memo_hits + memoised.stats.memo_misses;
+                }
+                assert!(
+                    consulted > 0,
+                    "{family}: serve mode never consulted the apply cache"
+                );
+                // the traced strategy in serve mode grafts shared subtrees:
+                // the materialised derivation must still be bit-identical
+                let q = queries::tc_step();
+                let plain = evaluate_traced(&q, &input, &cfg);
+                let memoised = evaluate_traced(&q, &input, &serve_cfg);
+                assert_eq!(
+                    plain.result.unwrap(),
+                    memoised.result.unwrap(),
+                    "{family}: traced {q}"
+                );
+            }
+        },
+    );
+}
+
 /// Serve mode — the apply cache, semi-naive (delta-driven) iteration and
 /// the fused rules — must change the cost, never the answer or the
 /// trajectory: on every family and route, serve-mode results are bit for
